@@ -3,7 +3,6 @@
 //! Usage:
 //!   repro all `[n]`          # every experiment (default scale)
 //!   repro figure4 `[n]`      # the Figure 4 self-join comparison
-//!   repro fusion `[n]`       # S7 fused-vs-unfused narrow chains (writes target/s7-fusion.json)
 //!   repro chaos `[n]`        # S8 fault-tolerance ablation (writes target/s8-chaos.json;
 //!                            # seed via STARK_CHAOS_SEED)
 //!   repro stragglers `[n]`   # S9 straggler ablation (writes target/s9-stragglers.json;
@@ -18,19 +17,31 @@
 //!   repro distributed `[n]`  # S14 supervised multi-process ablation: A1/F4/A2 on forked
 //!                            # workers over TCP, with a mid-shuffle worker kill
 //!                            # (writes target/s14-distributed.json)
-//!   repro shuffle `[n]`      # S15 remote-shuffle ablation: peer-served vs shared-store
-//!                            # buckets, plus kill-mid-shuffle lineage recovery
-//!                            # (writes target/s15-shuffle.json)
 //!   repro features | filter | join | knn | dbscan | pruning | balance | indexmodes | stream
 //!
 //! `n` overrides the workload size. Figure 4's paper-scale run is
 //! `repro figure4 1000000` (takes a while on a small machine).
+//!
+//! `repro` is also S14's worker program: the pool forks
+//! `repro --addr HOST:PORT --id SEAT ...`, which serves the `i64` and
+//! `event` schemas instead of running an experiment.
 
 use stark_bench::experiments;
+use stark_engine::worker::{run_from_args, WorkerRuntime};
 use stark_engine::Context;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.get(1).is_some_and(|a| a == "--addr") {
+        let mut rt = WorkerRuntime::new();
+        rt.register(Box::new(stark_engine::plan::int_registry()));
+        rt.register(Box::new(stark::distributed::event_registry()));
+        if let Err(e) = run_from_args(&rt, args.into_iter().skip(1)) {
+            eprintln!("repro (worker): {e}");
+            std::process::exit(1);
+        }
+        return;
+    }
     let which = args.get(1).map(String::as_str).unwrap_or("all");
     let n: Option<usize> = args.get(2).and_then(|s| s.parse().ok());
     let ctx = Context::new();
@@ -101,20 +112,6 @@ fn main() {
         print!("{}", experiments::stream(&ctx, &[base / 4, base / 2, base], 8).render());
         println!();
     }
-    if run("fusion") {
-        ran = true;
-        let t = experiments::fusion(ctx.parallelism(), n.unwrap_or(200_000), 5);
-        print!("{}", t.render());
-        println!();
-        // machine-readable copy for CI artifacts
-        let json = serde_json::to_string_pretty(&t).expect("serialise S7 table");
-        let path = std::env::var("S7_JSON").unwrap_or_else(|_| "target/s7-fusion.json".into());
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&path, json).expect("write S7 json");
-        eprintln!("[s7] wrote {path}");
-    }
     if run("columnar") {
         ran = true;
         let t = experiments::columnar(ctx.parallelism(), n.unwrap_or(200_000), 5);
@@ -151,7 +148,8 @@ fn main() {
             .ok()
             .map(|s| s.trim().parse().expect("S14_WORKERS must be a usize"))
             .unwrap_or(4);
-        let t = experiments::distributed(n.unwrap_or(20_000), workers);
+        let exe = std::env::current_exe().expect("own executable path");
+        let t = experiments::distributed(&exe, n.unwrap_or(20_000), workers);
         print!("{}", t.render());
         println!();
         // machine-readable copy for CI artifacts
@@ -163,24 +161,6 @@ fn main() {
         }
         std::fs::write(&path, json).expect("write S14 json");
         eprintln!("[s14] wrote {path}");
-    }
-    if run("shuffle") {
-        ran = true;
-        let workers: usize = std::env::var("S15_WORKERS")
-            .ok()
-            .map(|s| s.trim().parse().expect("S15_WORKERS must be a usize"))
-            .unwrap_or(4);
-        let t = experiments::remote_shuffle(n.unwrap_or(20_000), workers);
-        print!("{}", t.render());
-        println!();
-        // machine-readable copy for CI artifacts
-        let json = serde_json::to_string_pretty(&t).expect("serialise S15 table");
-        let path = std::env::var("S15_JSON").unwrap_or_else(|_| "target/s15-shuffle.json".into());
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&path, json).expect("write S15 json");
-        eprintln!("[s15] wrote {path}");
     }
     if run("chaos") {
         ran = true;
@@ -263,7 +243,7 @@ fn main() {
 
     if !ran {
         eprintln!(
-            "unknown experiment {which:?}; try: all, features, figure4, filter, join, knn, dbscan, pruning, balance, scaling, temporal, indexmodes, stream, fusion, columnar, ivm, distributed, shuffle, chaos, stragglers, memory, service"
+            "unknown experiment {which:?}; try: all, features, figure4, filter, join, knn, dbscan, pruning, balance, scaling, temporal, indexmodes, stream, columnar, ivm, distributed, chaos, stragglers, memory, service"
         );
         std::process::exit(2);
     }

@@ -101,7 +101,11 @@ pub fn self_join_pairs(rows: &[EventRow], predicate: STPredicate) -> Vec<(u64, u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stark_engine::plan::{encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput};
+    use stark_engine::plan::{
+        decode_rows, encode_rows, shuffle_bucket_key, ExecEnv, PlanFragment, PlanInput, PlanOp,
+        PlanSink, TaskOutput,
+    };
+    use stark_engine::{FetchConfig, ShuffleEnv};
 
     fn rows() -> Vec<EventRow> {
         vec![
@@ -141,26 +145,35 @@ mod tests {
             schema: EVENT_SCHEMA.into(),
             input: PlanInput::Inline,
             ops: vec![],
-            sink: PlanSink::ShuffleWrite {
+            sink: PlanSink::ShuffleWriteLocal {
                 partitioner: "grid".into(),
                 arg: to_arg(&grid),
                 num_partitions: grid.num_partitions(),
                 prefix: "sh/evt".into(),
                 task: 0,
+                epoch: 0,
             },
         };
         let dir = std::env::temp_dir().join(format!("stark-dist-grid-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = stark_engine::ObjectStore::open(&dir).unwrap();
+        let shuffle = ShuffleEnv::new(&dir, FetchConfig::default(), None).unwrap();
+        let env = ExecEnv { store: None, shuffle: Some(&shuffle) };
         let payload = encode_rows(&rows()).unwrap();
-        let out = r.execute(&fragment, Some(&payload), Some(&store)).unwrap();
+        let out = r.execute_env(&fragment, Some(&payload), &env).unwrap();
         let TaskOutput::BucketCounts(counts) = out.output else { panic!("{out:?}") };
         assert_eq!(counts.iter().sum::<u64>(), 4, "every row routed");
-        for (row, _) in rows().iter().zip(&counts) {
-            let bucket = grid.partition_of(&row.0);
-            assert!(counts[bucket] > 0, "bucket {bucket} must hold its row");
+        // each bucket holds exactly the rows the driver-side grid routes
+        // there, in input order
+        for (bucket, &count) in counts.iter().enumerate() {
+            let expect: Vec<EventRow> =
+                rows().into_iter().filter(|row| grid.partition_of(&row.0) == bucket).collect();
+            assert_eq!(count, expect.len() as u64, "bucket {bucket} count");
+            if count > 0 {
+                let key = shuffle_bucket_key("sh/evt", 0, bucket);
+                let bytes = shuffle.store().get_bytes(&key).unwrap();
+                assert_eq!(decode_rows::<EventRow>(&bytes).unwrap(), expect, "bucket {bucket}");
+            }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

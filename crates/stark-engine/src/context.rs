@@ -20,11 +20,6 @@ pub struct EngineConfig {
     pub default_partitions: usize,
     /// Human-readable application name, surfaced in panics and logs.
     pub app_name: String,
-    /// Whether chains of narrow transformations (`map`/`filter`/
-    /// `flat_map`/`map_partitions`) fuse into a single per-partition
-    /// pass. On by default; turning it off materialises one `Vec` per
-    /// operator — the unfused baseline the S7 experiment measures.
-    pub fusion_enabled: bool,
     /// Whether consumers that support it (STARK's spatial filter chain)
     /// may evaluate predicates over a per-partition columnar sidecar
     /// ([`Partition::to_columns`](crate::Partition)) instead of
@@ -90,7 +85,6 @@ impl Default for EngineConfig {
             parallelism: cores,
             default_partitions: cores,
             app_name: "stark".to_string(),
-            fusion_enabled: true,
             columnar_enabled: true,
             max_task_retries: 3,
             retry_backoff: Duration::ZERO,
@@ -182,12 +176,6 @@ impl Context {
     /// The configured default partition count.
     pub fn default_partitions(&self) -> usize {
         self.inner.config.default_partitions
-    }
-
-    /// Whether narrow-operator fusion is on (see
-    /// [`EngineConfig::fusion_enabled`]).
-    pub fn fusion_enabled(&self) -> bool {
-        self.inner.config.fusion_enabled
     }
 
     /// Whether the columnar filter path is on (see

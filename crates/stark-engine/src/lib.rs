@@ -50,8 +50,7 @@
 //!   producer dies mid-shuffle, regenerates the lost outputs via
 //!   lineage on the survivors at a bumped shuffle epoch
 //!   (`WorkerPool::run_shuffle`), with [`FetchChaos`] injecting
-//!   deterministic fetch-side faults; `ShuffleMode::SharedStore` keeps
-//!   the shared-directory path as a byte-identical fallback.
+//!   deterministic fetch-side faults.
 //!
 //! ```
 //! use stark_engine::Context;

@@ -224,11 +224,18 @@ impl MemoryManager {
         let mut victims = self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // Oldest-touch-first scan. The list is small (one entry per
         // cached/checkpointed partition cell constructed on the context),
-        // and eviction is already the slow path.
-        let mut order: Vec<usize> = (0..victims.len()).collect();
-        order.sort_by_key(|&i| victims[i].last_touch.load(Ordering::Relaxed));
+        // and eviction is already the slow path. Touch stamps are
+        // snapshotted before sorting: other threads keep touching cells,
+        // and a key that changes mid-sort breaks the total order the
+        // sort requires (it panics on detecting that).
+        let mut order: Vec<(u64, usize)> = victims
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.last_touch.load(Ordering::Relaxed), i))
+            .collect();
+        order.sort_unstable();
         let mut gone: Vec<usize> = Vec::new();
-        for i in order {
+        for (_, i) in order {
             if fits(self) {
                 break;
             }
@@ -440,6 +447,38 @@ mod tests {
         assert!(cells[0].lock().unwrap().is_none(), "LRU cell evicted");
         assert!(cells[1].lock().unwrap().is_some(), "fresh cell kept");
         assert_eq!(m.metrics.snapshot().partitions_evicted_for_pressure, 1);
+    }
+
+    #[test]
+    fn eviction_scan_tolerates_concurrent_touches() {
+        use std::sync::atomic::AtomicBool;
+        /// Stops the toucher even when the scan panics, so a failure
+        /// surfaces instead of hanging the scope's join.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let m = manager(Some(10));
+        let touches: Vec<Arc<AtomicU64>> =
+            (0..32).map(|_| m.register_victim(Box::new(|| VictimState::Empty))).collect();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            // another task keeps re-touching cells while eviction sorts
+            // them by touch stamp
+            s.spawn(|| {
+                let mut i = 0usize;
+                while !stop.load(Ordering::Relaxed) {
+                    m.touch(&touches[i % touches.len()]);
+                    i += 1;
+                }
+            });
+            for _ in 0..20_000 {
+                assert!(m.try_reserve(20).is_none(), "nothing is evictable");
+            }
+        });
     }
 
     #[test]

@@ -107,8 +107,7 @@ pub struct Metrics {
     /// Map outputs re-produced via lineage at a bumped shuffle epoch.
     /// Recovery is exact when this equals `map_outputs_lost`.
     pub map_outputs_regenerated: AtomicU64,
-    /// Bucket payload bytes reducers fetched over peer shuffle ports
-    /// (the remote-shuffle analogue of shared-store bucket reads).
+    /// Bucket payload bytes reducers fetched over peer shuffle ports.
     pub shuffle_bytes_fetched_remote: AtomicU64,
 }
 

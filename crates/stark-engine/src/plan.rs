@@ -5,9 +5,9 @@
 //! equivalent: an op-code chain over [`StoreData`] rows (map / filter /
 //! flat-map / per-partition ops), a terminal [`PlanSink`] (collect,
 //! count, shuffle write, checkpoint), and an input source (rows shipped
-//! inline with the task, or shuffle buckets read from the shared object
-//! store). A fragment serialises to JSON and ships inside one STK1
-//! frame.
+//! inline with the task, or shuffle buckets fetched from the peer
+//! workers that produced them). A fragment serialises to JSON and ships
+//! inside one STK1 frame.
 //!
 //! Closures do not serialise, so ops are *named*: driver and worker both
 //! build an [`OpRegistry`] that maps op names to closure factories, and
@@ -56,13 +56,8 @@ pub enum PlanInput {
     /// The input rows travel with the task as one raw payload frame
     /// (JSON-encoded `Vec<T>`).
     Inline,
-    /// Read and concatenate these object-store blobs, in order — the
-    /// shuffle-read side, where `keys` are the bucket blobs written by
-    /// the map tasks of the previous stage.
-    Store { keys: Vec<String> },
-    /// Remote-shuffle read: fetch each bucket from the peer worker that
-    /// produced it (in map-task order, so concatenation matches the
-    /// `Store` path byte-for-byte) and concatenate. A fetch that
+    /// Shuffle read: fetch each bucket from the peer worker that
+    /// produced it, in map-task order, and concatenate. A fetch that
     /// exhausts its retry budget surfaces as [`PlanError::FetchFailed`],
     /// which the driver treats as a lost-map-output signal.
     Fetch { sources: Vec<FetchSource> },
@@ -99,26 +94,16 @@ pub enum PlanSink {
     /// value back — for results whose type differs from the row schema
     /// (join pairs, aggregates).
     CollectWith { op: String, arg: Value },
-    /// Shuffle-write: route each row through the named partitioner and
-    /// write every non-empty bucket to the shared store under
-    /// [`shuffle_bucket_key`]`(prefix, task, bucket)`. Ships per-bucket
-    /// row counts back, from which the driver derives the exact bucket
-    /// keys for the reduce stage.
-    ShuffleWrite {
-        partitioner: String,
-        arg: Value,
-        num_partitions: usize,
-        prefix: String,
-        task: usize,
-    },
     /// Persist the resulting rows as a checkpoint partition blob —
     /// byte-compatible with [`Rdd::checkpoint`], so a local engine can
     /// recover from blobs written by workers.
     Checkpoint { key: String, partition: usize },
-    /// Remote-shuffle write: identical bucketing to `ShuffleWrite`, but
-    /// the buckets land in the executing worker's *local* shuffle store,
-    /// registered under `epoch`, and are served to reducers over the
-    /// worker's shuffle port instead of a shared directory.
+    /// Shuffle write: route each row through the named partitioner and
+    /// write every non-empty bucket to the executing worker's *local*
+    /// shuffle store under [`shuffle_bucket_key`]`(prefix, task,
+    /// bucket)`, registered under `epoch` and served to reducers over
+    /// the worker's shuffle port. Ships per-bucket row counts back, from
+    /// which the driver derives the reduce stage's fetch lists.
     ShuffleWriteLocal {
         partitioner: String,
         arg: Value,
@@ -144,7 +129,7 @@ pub enum TaskOutput {
     Count(u64),
     /// `PlanSink::CollectWith` result.
     Json(Value),
-    /// `PlanSink::ShuffleWrite` result: rows routed per bucket.
+    /// `PlanSink::ShuffleWriteLocal` result: rows routed per bucket.
     BucketCounts(Vec<u64>),
     /// `PlanSink::Checkpoint` result.
     Checkpointed { key: String, rows: u64, bytes: u64 },
@@ -165,8 +150,8 @@ pub struct TaskResult {
     pub payload: Option<Vec<u8>>,
 }
 
-/// Spill-store key of one distributed shuffle bucket blob (mirrors the
-/// in-process shuffle's spill layout).
+/// Worker-local store key of one distributed shuffle bucket blob
+/// (mirrors the in-process shuffle's spill layout).
 pub fn shuffle_bucket_key(prefix: &str, task: usize, bucket: usize) -> String {
     format!("{prefix}/task-{task:05}/bucket-{bucket:05}")
 }
@@ -195,8 +180,8 @@ pub enum PlanError {
     },
     /// `PlanInput::Inline` with no payload frame attached.
     MissingPayload,
-    /// The sink or input needs the shared object store, but none was
-    /// configured on this side.
+    /// The sink needs the shared object store, but none was configured
+    /// on this side.
     MissingStore,
     /// The sink or input needs a shuffle environment (remote shuffle),
     /// but this side has none.
@@ -391,11 +376,11 @@ impl<T: StoreData> OpRegistry<T> {
     }
 
     /// Runs a fragment over `payload` (for inline input) and `store`
-    /// (for shuffle reads and store-writing sinks), returning the task
-    /// result. This is the worker's entire task execution path, and is
-    /// equally callable in-process — the chaos suite's "single-process
-    /// mode" baseline. Remote-shuffle fragments additionally need a
-    /// [`ShuffleEnv`]; use [`OpRegistry::execute_env`] for those.
+    /// (for checkpoint sinks), returning the task result — the
+    /// in-process half of [`OpRegistry::execute_env`], and the chaos
+    /// suites' "single-process mode" reference. Shuffle fragments
+    /// (`Fetch` inputs, `ShuffleWriteLocal` sinks) need a [`ShuffleEnv`]
+    /// and fail here with [`PlanError::MissingShuffle`].
     pub fn execute(
         &self,
         fragment: &PlanFragment,
@@ -405,16 +390,15 @@ impl<T: StoreData> OpRegistry<T> {
         self.execute_env(fragment, payload, &ExecEnv { store, shuffle: None })
     }
 
-    /// [`OpRegistry::execute`] with the full execution environment:
-    /// the shared object store *and* the worker's shuffle half, so
-    /// `Fetch` inputs and `ShuffleWriteLocal` sinks resolve.
+    /// Runs a fragment with the full execution environment: the shared
+    /// object store *and* the worker's shuffle half. This is the
+    /// worker's entire task execution path.
     pub fn execute_env(
         &self,
         fragment: &PlanFragment,
         payload: Option<&[u8]>,
         env: &ExecEnv<'_>,
     ) -> Result<TaskResult, PlanError> {
-        let store = env.store;
         if fragment.schema != self.schema {
             return Err(PlanError::SchemaMismatch {
                 expected: self.schema.clone(),
@@ -424,14 +408,6 @@ impl<T: StoreData> OpRegistry<T> {
 
         let mut rows: Vec<T> = match &fragment.input {
             PlanInput::Inline => decode_rows(payload.ok_or(PlanError::MissingPayload)?)?,
-            PlanInput::Store { keys } => {
-                let store = store.ok_or(PlanError::MissingStore)?;
-                let mut rows = Vec::new();
-                for key in keys {
-                    rows.extend(decode_rows::<T>(&store.get_bytes(key)?)?);
-                }
-                rows
-            }
             PlanInput::Fetch { sources } => {
                 let shuffle = env.shuffle.ok_or(PlanError::MissingShuffle)?;
                 let mut rows = Vec::new();
@@ -483,22 +459,6 @@ impl<T: StoreData> OpRegistry<T> {
                 let f = Self::resolve("collector", &self.collectors, op, arg)?;
                 Ok(TaskResult { output: TaskOutput::Json(f(rows)?), payload: None })
             }
-            PlanSink::ShuffleWrite { partitioner, arg, num_partitions, prefix, task } => {
-                let store = store.ok_or(PlanError::MissingStore)?;
-                let key_fn = Self::resolve("partitioner", &self.partitioners, partitioner, arg)?;
-                let buckets = route_buckets(&key_fn, rows, *num_partitions)?;
-                let mut counts = Vec::with_capacity(buckets.len());
-                for (b, bucket) in buckets.iter().enumerate() {
-                    counts.push(bucket.len() as u64);
-                    if !bucket.is_empty() {
-                        store.put_bytes(
-                            &shuffle_bucket_key(prefix, *task, b),
-                            &encode_rows(bucket)?,
-                        )?;
-                    }
-                }
-                Ok(TaskResult { output: TaskOutput::BucketCounts(counts), payload: None })
-            }
             PlanSink::ShuffleWriteLocal {
                 partitioner,
                 arg,
@@ -524,7 +484,7 @@ impl<T: StoreData> OpRegistry<T> {
                 Ok(TaskResult { output: TaskOutput::BucketCounts(counts), payload: None })
             }
             PlanSink::Checkpoint { key, partition } => {
-                let store = store.ok_or(PlanError::MissingStore)?;
+                let store = env.store.ok_or(PlanError::MissingStore)?;
                 let blob_key = checkpoint_blob_key(key, *partition);
                 let data = encode_rows(&rows)?;
                 store.put_bytes(&blob_key, &data)?;
@@ -596,8 +556,7 @@ impl<T: StoreData> OpRegistry<T> {
             PlanSink::CollectWith { op, arg } => {
                 Self::resolve("collector", &self.collectors, op, arg).map(|_| ())?
             }
-            PlanSink::ShuffleWrite { partitioner, arg, .. }
-            | PlanSink::ShuffleWriteLocal { partitioner, arg, .. } => {
+            PlanSink::ShuffleWriteLocal { partitioner, arg, .. } => {
                 Self::resolve("partitioner", &self.partitioners, partitioner, arg).map(|_| ())?
             }
             _ => {}
@@ -607,8 +566,7 @@ impl<T: StoreData> OpRegistry<T> {
 }
 
 /// Routes rows into `num_partitions` buckets via a resolved partitioner,
-/// rejecting out-of-range indices — shared by the shared-store and
-/// worker-local shuffle-write sinks so both bucket identically.
+/// rejecting out-of-range indices.
 fn route_buckets<T>(
     key_fn: &KeyFn<T>,
     rows: Vec<T>,
@@ -630,8 +588,8 @@ fn route_buckets<T>(
 // ---------------------------------------------------------------------------
 
 /// Everything a task execution may touch beyond its inline payload: the
-/// shared object store (classic shuffle reads, checkpoints) and the
-/// worker's shuffle environment (remote bucket fetch/serve).
+/// shared object store (checkpoints) and the worker's shuffle
+/// environment (bucket fetch/serve).
 #[derive(Clone, Copy, Default)]
 pub struct ExecEnv<'a> {
     pub store: Option<&'a ObjectStore>,
@@ -642,38 +600,17 @@ pub struct ExecEnv<'a> {
 /// registered row type and dispatches to by `PlanFragment::schema`.
 pub trait SchemaExecutor: Send + Sync {
     fn schema(&self) -> &str;
-    fn execute(
-        &self,
-        fragment: &PlanFragment,
-        payload: Option<&[u8]>,
-        store: Option<&ObjectStore>,
-    ) -> Result<TaskResult, PlanError>;
-
-    /// Execution with the full [`ExecEnv`]. Defaults to the store-only
-    /// path, so executors unaware of remote shuffle keep working (their
-    /// fragments simply cannot use `Fetch`/`ShuffleWriteLocal`).
     fn execute_env(
         &self,
         fragment: &PlanFragment,
         payload: Option<&[u8]>,
         env: &ExecEnv<'_>,
-    ) -> Result<TaskResult, PlanError> {
-        self.execute(fragment, payload, env.store)
-    }
+    ) -> Result<TaskResult, PlanError>;
 }
 
 impl<T: StoreData> SchemaExecutor for OpRegistry<T> {
     fn schema(&self) -> &str {
         OpRegistry::schema(self)
-    }
-
-    fn execute(
-        &self,
-        fragment: &PlanFragment,
-        payload: Option<&[u8]>,
-        store: Option<&ObjectStore>,
-    ) -> Result<TaskResult, PlanError> {
-        OpRegistry::execute(self, fragment, payload, store)
     }
 
     fn execute_env(
@@ -761,21 +698,39 @@ mod tests {
         PlanFragment { schema: "i64".into(), input, ops, sink }
     }
 
+    fn shuffle_env(tag: &str) -> Arc<ShuffleEnv> {
+        let dir =
+            std::env::temp_dir().join(format!("stark-plan-shuffle-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ShuffleEnv::new(dir, crate::shuffle::FetchConfig::default(), None).unwrap()
+    }
+
+    fn write_local(task: usize, parts: usize) -> PlanSink {
+        PlanSink::ShuffleWriteLocal {
+            partitioner: "mod".into(),
+            arg: int_arg("parts", parts as i64),
+            num_partitions: parts,
+            prefix: "sh".into(),
+            task,
+            epoch: 0,
+        }
+    }
+
     #[test]
     fn fragment_roundtrips_through_json() {
         let f = frag(
-            PlanInput::Store { keys: vec!["a".into(), "b".into()] },
+            PlanInput::Fetch {
+                sources: vec![FetchSource {
+                    addr: "127.0.0.1:4000".into(),
+                    key: shuffle_bucket_key("sh", 0, 1),
+                    epoch: 2,
+                }],
+            },
             vec![
                 PlanOp::Map { op: "add".into(), arg: int_arg("k", 3) },
                 PlanOp::Filter { op: "even".into(), arg: Value::Null },
             ],
-            PlanSink::ShuffleWrite {
-                partitioner: "mod".into(),
-                arg: int_arg("parts", 4),
-                num_partitions: 4,
-                prefix: "spill/shuffle-1".into(),
-                task: 2,
-            },
+            write_local(2, 4),
         );
         let bytes = serde_json::to_vec(&f).unwrap();
         let back: PlanFragment = serde_json::from_slice(&bytes).unwrap();
@@ -823,33 +778,42 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_write_then_store_read() {
+    fn shuffle_write_then_fetch_read() {
         let r = int_registry();
-        let store = temp_store("shuffle");
-        let payload = encode_rows(&(0i64..10).collect::<Vec<_>>()).unwrap();
-        let write = frag(
-            PlanInput::Inline,
-            vec![],
-            PlanSink::ShuffleWrite {
-                partitioner: "mod".into(),
-                arg: int_arg("parts", 3),
-                num_partitions: 3,
-                prefix: "sh".into(),
-                task: 0,
-            },
-        );
-        let out = r.execute(&write, Some(&payload), Some(&store)).unwrap();
-        assert_eq!(out.output, TaskOutput::BucketCounts(vec![4, 3, 3]));
+        let server = shuffle_env("server");
+        let map_env = ExecEnv { store: None, shuffle: Some(&server) };
+        // two map tasks, so the reduce side concatenates in task order
+        for (task, rows) in [(0, vec![9i64, 0, 4]), (1, vec![3, 6, 7])] {
+            let payload = encode_rows(&rows).unwrap();
+            let out = r
+                .execute_env(
+                    &frag(PlanInput::Inline, vec![], write_local(task, 3)),
+                    Some(&payload),
+                    &map_env,
+                )
+                .unwrap();
+            assert_eq!(out.output, TaskOutput::BucketCounts(vec![2, 1, 0]));
+        }
+        let port = server.serve().unwrap();
 
-        // the reduce side reads bucket 0 of task 0
-        let read = frag(
-            PlanInput::Store { keys: vec![shuffle_bucket_key("sh", 0, 0)] },
-            vec![PlanOp::MapPartitions { op: "sort".into(), arg: Value::Null }],
-            PlanSink::Collect,
-        );
-        let result = r.execute(&read, None, Some(&store)).unwrap();
+        // the reduce side fetches bucket 0 of both tasks from the server
+        let sources = (0..2)
+            .map(|task| FetchSource {
+                addr: format!("127.0.0.1:{port}"),
+                key: shuffle_bucket_key("sh", task, 0),
+                epoch: 0,
+            })
+            .collect();
+        let read = frag(PlanInput::Fetch { sources }, vec![], PlanSink::Collect);
+        let client = shuffle_env("client");
+        let result =
+            r.execute_env(&read, None, &ExecEnv { store: None, shuffle: Some(&client) }).unwrap();
         let rows: Vec<i64> = decode_rows(result.payload.as_deref().unwrap()).unwrap();
-        assert_eq!(rows, vec![0, 3, 6, 9]);
+        assert_eq!(rows, vec![9, 0, 3, 6], "map-task order, then row order within a task");
+
+        // without a shuffle environment neither side resolves
+        assert!(matches!(r.execute(&read, None, None), Err(PlanError::MissingShuffle)));
+        assert!(!is_retryable(&PlanError::MissingShuffle));
     }
 
     #[test]
@@ -910,15 +874,15 @@ mod tests {
         let bad = frag(
             PlanInput::Inline,
             vec![],
-            PlanSink::ShuffleWrite {
+            PlanSink::ShuffleWriteLocal {
                 partitioner: "missing".into(),
                 arg: Value::Null,
                 num_partitions: 2,
                 prefix: "x".into(),
                 task: 0,
+                epoch: 0,
             },
         );
-        assert!(matches!(bad.sink, PlanSink::ShuffleWrite { .. }));
         assert!(matches!(r.validate(&bad), Err(PlanError::UnknownOp { kind: "partitioner", .. })));
     }
 

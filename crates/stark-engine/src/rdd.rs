@@ -19,9 +19,7 @@
 //!   iterator pipeline, so a `load → map → filter → map` lineage makes
 //!   one pass with one output allocation instead of one `Vec` per
 //!   operator. Fused chains render as `Fused[Map→Filter]` in
-//!   [`Rdd::explain`]; set
-//!   [`EngineConfig::fusion_enabled`](crate::EngineConfig) to `false`
-//!   to fall back to the materialise-per-operator path.
+//!   [`Rdd::explain`].
 
 use crate::context::Context;
 use crate::executor;
@@ -194,8 +192,8 @@ pub fn abort_invalid_record(message: impl Into<String>) -> ! {
     std::panic::panic_any(TaskAbort { kind: TaskErrorKind::InvalidRecord, message: message.into() })
 }
 
-/// Unfused narrow node (one materialised `Vec` per operator), used when
-/// fusion is disabled.
+/// Whole-partition narrow node that stands as its own lineage step
+/// (see [`Rdd::map_partition_handles`]).
 struct MapPartitionsRdd<T: Data, U: Data> {
     parent: Arc<dyn RddImpl<T>>,
     #[allow(clippy::type_complexity)]
@@ -659,31 +657,14 @@ impl<T: Data> Rdd<T> {
         }
     }
 
-    /// Appends a narrow per-partition iterator stage. With fusion on,
-    /// the stage composes into the current [`FusedChain`] (or starts
-    /// one), producing a single `FusedRdd` node that makes one pass per
-    /// partition; with fusion off, the stage becomes its own
-    /// materialising `MapPartitionsRdd` node.
+    /// Appends a narrow per-partition iterator stage. The stage composes
+    /// into the current [`FusedChain`] (or starts one), producing a
+    /// single `FusedRdd` node that makes one pass per partition.
     fn fuse_stage<U: Data>(
         &self,
         op: &str,
         stage: impl Fn(usize, BoxIter<T>) -> BoxIter<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
-        if !self.ctx.fusion_enabled() {
-            let ctx = self.ctx.clone();
-            return self.derive(
-                op.to_string(),
-                Arc::new(MapPartitionsRdd {
-                    parent: self.inner.clone(),
-                    f: Arc::new(move |i, data: Partition<T>| {
-                        let it = Box::new(crate::cancel::checked(
-                            data.into_iter_counted(ctx.raw_metrics()),
-                        ));
-                        Partition::from_vec(stage(i, it).collect())
-                    }),
-                }),
-            );
-        }
         let stage = Arc::new(stage);
         let chain = match &self.fused {
             // extend the existing pipeline — no intermediate Vec
@@ -1356,15 +1337,6 @@ mod tests {
         Context::with_parallelism(4)
     }
 
-    fn unfused_ctx() -> Context {
-        Context::with_config(EngineConfig {
-            parallelism: 4,
-            default_partitions: 4,
-            fusion_enabled: false,
-            ..EngineConfig::default()
-        })
-    }
-
     #[test]
     fn map_filter_flatmap() {
         let c = ctx();
@@ -1629,31 +1601,16 @@ mod tests {
     }
 
     #[test]
-    fn fusion_on_and_off_agree() {
+    fn fused_chain_matches_iterator_reference() {
         let expect: Vec<i32> =
             (0..500).map(|x| x + 1).filter(|x| x % 3 == 0).flat_map(|x| [x, -x]).collect();
-        for c in [ctx(), unfused_ctx()] {
-            let r = c
-                .parallelize((0..500).collect(), 7)
-                .map(|x| x + 1)
-                .filter(|x| x % 3 == 0)
-                .flat_map(|x| [x, -x]);
-            assert_eq!(r.collect(), expect, "fusion_enabled={}", c.fusion_enabled());
-            assert_eq!(r.num_partitions(), 7);
-        }
-    }
-
-    #[test]
-    fn fusion_disabled_materialises_each_operator() {
-        let c = unfused_ctx();
-        let r = c.parallelize((0..100).collect(), 4).filter(|x| x % 2 == 0).map(|x| x * 3);
-        let plan = r.explain();
-        let lines: Vec<&str> = plan.lines().collect();
-        assert_eq!(lines[0], "Map");
-        assert_eq!(lines[1].trim_start(), "Filter");
-        assert!(lines[2].trim_start().starts_with("ParallelCollection[100"));
-        let expect: Vec<i32> = (0..100).filter(|x| x % 2 == 0).map(|x| x * 3).collect();
+        let r = ctx()
+            .parallelize((0..500).collect(), 7)
+            .map(|x| x + 1)
+            .filter(|x| x % 3 == 0)
+            .flat_map(|x| [x, -x]);
         assert_eq!(r.collect(), expect);
+        assert_eq!(r.num_partitions(), 7);
     }
 
     #[test]

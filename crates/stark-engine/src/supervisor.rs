@@ -13,11 +13,11 @@
 //!   or a task outliving its per-task deadline. All three funnel into
 //!   one `mark_down` path.
 //! * **Recovery** — a dead worker's in-flight task is reassigned to a
-//!   survivor with a bumped attempt number (its shuffle output lives in
-//!   the shared object store and is simply rewritten — lineage-based
-//!   recovery at the granularity of plan fragments). The seat respawns
-//!   with exponential backoff, jittered so a mass outage doesn't
-//!   thunder back in lockstep.
+//!   survivor with a bumped attempt number (lineage-based recovery at
+//!   the granularity of plan fragments); map outputs it had already
+//!   served are regenerated by [`WorkerPool::run_shuffle`]. The seat
+//!   respawns with exponential backoff, jittered so a mass outage
+//!   doesn't thunder back in lockstep.
 //! * **Graceful drain** — shutdown sends [`DriverMsg::Drain`], waits
 //!   briefly for clean exits, then kills stragglers.
 //!
@@ -56,7 +56,12 @@ use std::time::{Duration, Instant};
 pub struct WorkerPoolConfig {
     /// Number of worker seats.
     pub workers: usize,
-    /// Worker binary to fork (see [`find_worker_bin`]).
+    /// Worker binary to fork: any program whose `main` hands a
+    /// command line starting with `--addr` to
+    /// [`run_from_args`](crate::worker::run_from_args). Tests name it
+    /// with `env!("CARGO_BIN_EXE_<bin>")`; a program may also re-exec
+    /// itself (`std::env::current_exe()`). A path that cannot be forked
+    /// or that exits before its handshake is a [`PoolError::Spawn`].
     pub program: PathBuf,
     /// Heartbeat cadence pushed by workers (passed on their command
     /// line).
@@ -77,8 +82,8 @@ pub struct WorkerPoolConfig {
     pub max_respawns: u32,
     /// Reassignment/retry budget per task.
     pub max_task_retries: u32,
-    /// Shared object store for shuffle buckets and checkpoints; `None`
-    /// creates a fresh temp-dir store.
+    /// Shared object store for checkpoints; `None` creates a fresh
+    /// temp-dir store.
     pub store_root: Option<PathBuf>,
     /// Transport fault injection consulted on every dispatch.
     pub chaos: Option<Arc<TransportChaos>>,
@@ -115,28 +120,6 @@ impl WorkerPoolConfig {
             seed: 0xC4A05,
         }
     }
-}
-
-/// Locates a worker binary: `STARK_WORKER_BIN` first, then as a sibling
-/// of the current executable (walking up from `target/*/deps` for test
-/// binaries). Returns `None` if the binary has not been built.
-pub fn find_worker_bin(name: &str) -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("STARK_WORKER_BIN") {
-        let p = PathBuf::from(p);
-        if p.is_file() {
-            return Some(p);
-        }
-    }
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?;
-    for _ in 0..2 {
-        let cand = dir.join(name);
-        if cand.is_file() {
-            return Some(cand);
-        }
-        dir = dir.parent()?;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -267,22 +250,6 @@ impl DistTask {
     }
 }
 
-/// Derives the reduce-side store keys for `partition` from the map
-/// stage's [`TaskOutput::BucketCounts`] (one `Vec<u64>` per map task) —
-/// only buckets a map task actually wrote appear.
-pub fn bucket_keys_for_partition(
-    prefix: &str,
-    counts: &[Vec<u64>],
-    partition: usize,
-) -> Vec<String> {
-    counts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.get(partition).copied().unwrap_or(0) > 0)
-        .map(|(task, _)| crate::plan::shuffle_bucket_key(prefix, task, partition))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Shuffle stages
 // ---------------------------------------------------------------------------
@@ -290,10 +257,6 @@ pub fn bucket_keys_for_partition(
 /// How a shuffle stage moves buckets from map tasks to reduce tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShuffleMode {
-    /// Map tasks write buckets into the pool's shared [`ObjectStore`];
-    /// reduce tasks read them back by key. No recovery needed — the
-    /// store outlives any worker.
-    SharedStore,
     /// Map tasks keep buckets in their own local store and serve them
     /// over a per-worker shuffle port; reduce tasks fetch peer-to-peer.
     /// Lost outputs are re-produced via lineage at a bumped epoch.
@@ -302,10 +265,11 @@ pub enum ShuffleMode {
 
 /// Declarative description of one shuffle stage for
 /// [`WorkerPool::run_shuffle`]. The pool builds the map-side sinks and
-/// reduce-side inputs itself, so the two [`ShuffleMode`]s stay
-/// byte-identical by construction.
+/// reduce-side inputs itself.
 #[derive(Debug, Clone)]
 pub struct ShuffleSpec {
+    /// Always [`ShuffleMode::Remote`]; kept so existing callers that
+    /// name it still compile.
     pub mode: ShuffleMode,
     /// Registered partitioner op name (e.g. `"mod"`).
     pub partitioner: String,
@@ -467,8 +431,7 @@ impl WorkerPool {
         Ok(pool)
     }
 
-    /// The shared object store workers read shuffle input from and write
-    /// shuffle/checkpoint output to.
+    /// The shared object store workers write checkpoint output to.
     pub fn store(&self) -> &ObjectStore {
         &self.store
     }
@@ -511,6 +474,13 @@ impl WorkerPool {
         let mut child =
             cmd.spawn().map_err(|e| spawn_err(format!("fork {:?}: {e}", self.cfg.program)))?;
 
+        // Every failure below kills *and* reaps the child, so a failed
+        // spawn never leaves a process (or a zombie) behind.
+        let reap = |child: &mut Child| {
+            let _ = child.kill();
+            let _ = child.wait();
+        };
+
         // The listener is non-blocking; poll for the dial-back while
         // watching for an early child death.
         let deadline = Instant::now() + self.cfg.spawn_timeout;
@@ -522,13 +492,13 @@ impl WorkerPool {
                         return Err(spawn_err(format!("worker exited during spawn: {status}")));
                     }
                     if Instant::now() >= deadline {
-                        let _ = child.kill();
+                        reap(&mut child);
                         return Err(spawn_err("worker never dialed back".into()));
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => {
-                    let _ = child.kill();
+                    reap(&mut child);
                     return Err(e.into());
                 }
             }
@@ -543,11 +513,11 @@ impl WorkerPool {
                 shuffle_port
             }
             Ok(other) => {
-                let _ = child.kill();
+                reap(&mut child);
                 return Err(spawn_err(format!("bad handshake: {other:?}")));
             }
             Err(e) => {
-                let _ = child.kill();
+                reap(&mut child);
                 return Err(spawn_err(format!("handshake: {e}")));
             }
         };
@@ -629,12 +599,12 @@ impl WorkerPool {
 
     /// Runs a full map → shuffle → reduce stage. `map_tasks` supply the
     /// map-side schema/input/ops and payloads; their sinks are replaced
-    /// by the pool so both [`ShuffleMode`]s bucket rows identically.
-    /// Returns one [`TaskResult`] per partition, in partition order.
+    /// by the pool's [`PlanSink::ShuffleWriteLocal`]. Returns one
+    /// [`TaskResult`] per partition, in partition order.
     ///
-    /// In [`ShuffleMode::Remote`], map outputs lost to a worker death
-    /// (or served corrupt) are re-produced via lineage at a bumped
-    /// epoch, up to [`WorkerPoolConfig::max_shuffle_regens`] rounds.
+    /// Map outputs lost to a worker death (or served corrupt) are
+    /// re-produced via lineage at a bumped epoch, up to
+    /// [`WorkerPoolConfig::max_shuffle_regens`] rounds.
     pub fn run_shuffle(
         &mut self,
         map_tasks: &[DistTask],
@@ -643,67 +613,6 @@ impl WorkerPool {
         if map_tasks.is_empty() {
             return Ok(Vec::new());
         }
-        match spec.mode {
-            ShuffleMode::SharedStore => self.run_shuffle_shared(map_tasks, spec),
-            ShuffleMode::Remote => self.run_shuffle_remote(map_tasks, spec),
-        }
-    }
-
-    /// Current epoch of a remote-shuffle stage's map-output registry
-    /// (`None` if the stage never ran in [`ShuffleMode::Remote`]).
-    pub fn shuffle_epoch(&self, prefix: &str) -> Option<u64> {
-        self.map_outputs.get(prefix).map(|r| r.epoch)
-    }
-
-    fn run_shuffle_shared(
-        &mut self,
-        map_tasks: &[DistTask],
-        spec: &ShuffleSpec,
-    ) -> Result<Vec<TaskResult>, PoolError> {
-        let schema = map_tasks[0].fragment.schema.clone();
-        let staged: Vec<DistTask> = map_tasks
-            .iter()
-            .enumerate()
-            .map(|(task, d)| {
-                let mut frag = d.fragment.clone();
-                frag.sink = PlanSink::ShuffleWrite {
-                    partitioner: spec.partitioner.clone(),
-                    arg: spec.partitioner_arg.clone(),
-                    num_partitions: spec.num_partitions,
-                    prefix: spec.prefix.clone(),
-                    task,
-                };
-                DistTask { fragment: frag, payload: d.payload.clone() }
-            })
-            .collect();
-        let counts: Vec<Vec<u64>> = self
-            .execute(&staged)?
-            .into_iter()
-            .map(|r| match r.output {
-                TaskOutput::BucketCounts(c) => c,
-                other => panic!("shuffle map task returned {other:?}, not bucket counts"),
-            })
-            .collect();
-        let reduces: Vec<DistTask> = (0..spec.num_partitions)
-            .map(|p| {
-                DistTask::new(PlanFragment {
-                    schema: schema.clone(),
-                    input: PlanInput::Store {
-                        keys: bucket_keys_for_partition(&spec.prefix, &counts, p),
-                    },
-                    ops: spec.reduce_ops.clone(),
-                    sink: spec.reduce_sink.clone(),
-                })
-            })
-            .collect();
-        self.execute(&reduces)
-    }
-
-    fn run_shuffle_remote(
-        &mut self,
-        map_tasks: &[DistTask],
-        spec: &ShuffleSpec,
-    ) -> Result<Vec<TaskResult>, PoolError> {
         let schema = map_tasks[0].fragment.schema.clone();
         self.map_outputs.insert(spec.prefix.clone(), ShuffleRegistry::default());
 
@@ -771,6 +680,12 @@ impl WorkerPool {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Current epoch of a shuffle stage's map-output registry (`None` if
+    /// no stage with this prefix ran).
+    pub fn shuffle_epoch(&self, prefix: &str) -> Option<u64> {
+        self.map_outputs.get(prefix).map(|r| r.epoch)
     }
 
     /// Runs the given map tasks with local-bucket sinks at `epoch` and
@@ -858,8 +773,9 @@ impl WorkerPool {
     }
 
     /// Builds the fetch list for one reduce partition, in map-task order
-    /// so concatenation matches the shared-store path byte for byte.
-    /// Zero-count buckets are skipped — they were never written.
+    /// so the concatenated input is the same bytes however the map
+    /// tasks were scheduled. Zero-count buckets are skipped — they were
+    /// never written.
     fn fetch_sources(&self, prefix: &str, partition: usize) -> Vec<FetchSource> {
         let reg = &self.map_outputs[prefix];
         let mut tasks: Vec<usize> = reg.entries.keys().copied().collect();
@@ -1184,8 +1100,8 @@ impl WorkerPool {
         if let SlotState::Busy { task, attempt, .. } = slot.state {
             if !abandon_task {
                 // lineage-based reassignment: the task's input is either
-                // inline (driver still holds it) or in the shared store,
-                // so any survivor can recompute it
+                // inline (the driver still holds it) or fetched from
+                // peers, so any survivor can recompute it
                 self.stats.tasks_reassigned += 1;
                 self.metric(|m| m.inc_tasks_reassigned());
                 pending.push_back((task, attempt + 1));
@@ -1435,28 +1351,55 @@ mod tests {
     }
 
     #[test]
-    fn bucket_keys_skip_empty_buckets() {
-        let counts = vec![vec![2, 0, 1], vec![0, 0, 3], vec![1, 0, 0]];
-        assert_eq!(
-            bucket_keys_for_partition("sh", &counts, 0),
-            vec!["sh/task-00000/bucket-00000", "sh/task-00002/bucket-00000"]
-        );
-        assert!(bucket_keys_for_partition("sh", &counts, 1).is_empty());
-        assert_eq!(
-            bucket_keys_for_partition("sh", &counts, 2),
-            vec!["sh/task-00000/bucket-00002", "sh/task-00001/bucket-00002"]
-        );
-    }
-
-    #[test]
     fn pool_error_displays() {
         let e = PoolError::RetriesExhausted { task: 3, attempts: 4, last: "gone".into() };
         assert!(e.to_string().contains("task 3"));
         assert!(PoolError::NoWorkers { pending: 2 }.to_string().contains("2 tasks"));
     }
 
+    /// Live processes whose parent is this test binary and whose command
+    /// name is `comm` (zombies count: they were never reaped).
+    fn children_named(comm: &str) -> usize {
+        let me = std::process::id().to_string();
+        let Ok(dir) = std::fs::read_dir("/proc") else { return 0 };
+        dir.filter_map(|e| std::fs::read_to_string(e.ok()?.path().join("status")).ok())
+            .filter(|status| {
+                let field = |name: &str| {
+                    status.lines().find_map(|l| l.strip_prefix(name)).map(str::trim).unwrap_or("")
+                };
+                field("PPid:") == me && field("Name:") == comm
+            })
+            .count()
+    }
+
+    /// Spawns a pool whose `program` cannot serve as a worker; it must
+    /// fail typed and promptly.
+    fn spawn_fails_with(program: &str) -> String {
+        let mut cfg = WorkerPoolConfig::new(program);
+        cfg.workers = 2;
+        cfg.spawn_timeout = Duration::from_secs(5);
+        let started = Instant::now();
+        let err = match WorkerPool::spawn(cfg) {
+            Ok(_) => panic!("{program} must not pass for a worker"),
+            Err(e) => e,
+        };
+        assert!(started.elapsed() < Duration::from_secs(5), "spawn of {program} hung");
+        match err {
+            PoolError::Spawn { seat: 0, message } => message,
+            other => panic!("expected PoolError::Spawn for seat 0, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn find_worker_bin_rejects_missing() {
-        assert!(find_worker_bin("definitely-not-a-real-binary-name").is_none());
+    fn missing_worker_program_is_a_typed_spawn_error() {
+        let message = spawn_fails_with("/nonexistent/stark-worker");
+        assert!(message.contains("fork"), "{message}");
+    }
+
+    #[test]
+    fn worker_program_that_exits_at_once_is_a_typed_spawn_error() {
+        let message = spawn_fails_with("/bin/true");
+        assert!(message.contains("worker exited during spawn"), "{message}");
+        assert_eq!(children_named("true"), 0, "the failed seat's process must be reaped");
     }
 }

@@ -1,5 +1,5 @@
 //! Multi-process execution tests: a [`WorkerPool`] forking real
-//! `stark-engine-worker` processes over TCP, with transport chaos.
+//! `stark-worker` processes over TCP, with transport chaos.
 //!
 //! Every chaos test pins the two supervision invariants: results are
 //! byte-identical to a fault-free run, and `tasks_reassigned` equals the
@@ -7,17 +7,19 @@
 //! attempt is never struck again).
 
 use stark_engine::plan::{
-    decode_rows, encode_rows, int_arg, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
+    decode_rows, encode_rows, int_arg, int_registry, PlanFragment, PlanInput, PlanOp, PlanSink,
+    TaskOutput,
 };
-use stark_engine::supervisor::{bucket_keys_for_partition, DistTask};
+use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TransportChaos, TransportPolicy, WorkerPool,
-    WorkerPoolConfig,
+    FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TaskResult, TransportChaos, TransportPolicy,
+    WorkerPool, WorkerPoolConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
 
-const WORKER: &str = env!("CARGO_BIN_EXE_stark-engine-worker");
+/// Built by cargo in this test's own profile — no directory search.
+const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
 
 fn pool_config(workers: usize) -> WorkerPoolConfig {
     let mut cfg = WorkerPoolConfig::new(WORKER);
@@ -67,76 +69,6 @@ fn pool_executes_a_stage_of_collect_tasks() {
     // the heartbeat cadence (25ms) may be longer than the whole job
     std::thread::sleep(Duration::from_millis(80));
     assert!(pool.stats().heartbeats > 0, "workers should have heartbeated");
-    pool.shutdown();
-}
-
-#[test]
-fn two_stage_shuffle_matches_single_process_result() {
-    let mut pool = WorkerPool::spawn(pool_config(3)).unwrap();
-    let inputs: Vec<Vec<i64>> = (0..6).map(|t| (t * 100..t * 100 + 50).collect()).collect();
-    let num_partitions = 4;
-
-    // Map stage: bucket rows by x mod 4, spilling buckets to the store.
-    let map_tasks: Vec<DistTask> = inputs
-        .iter()
-        .enumerate()
-        .map(|(task, rows)| {
-            let fragment = PlanFragment {
-                schema: "i64".into(),
-                input: PlanInput::Inline,
-                ops: vec![PlanOp::Map { op: "add".into(), arg: int_arg("k", 1) }],
-                sink: PlanSink::ShuffleWrite {
-                    partitioner: "mod".into(),
-                    arg: int_arg("parts", num_partitions as i64),
-                    num_partitions,
-                    prefix: "shuffle/s0".into(),
-                    task,
-                },
-            };
-            DistTask::with_rows(fragment, encode_rows(rows).unwrap())
-        })
-        .collect();
-    let map_results = pool.execute(&map_tasks).unwrap();
-    let counts: Vec<Vec<u64>> = map_results
-        .iter()
-        .map(|r| match &r.output {
-            TaskOutput::BucketCounts(c) => c.clone(),
-            other => panic!("expected bucket counts, got {other:?}"),
-        })
-        .collect();
-
-    // Reduce stage: each partition reads its buckets and sorts.
-    let reduce_tasks: Vec<DistTask> = (0..num_partitions)
-        .map(|p| {
-            DistTask::new(PlanFragment {
-                schema: "i64".into(),
-                input: PlanInput::Store {
-                    keys: bucket_keys_for_partition("shuffle/s0", &counts, p),
-                },
-                ops: vec![PlanOp::MapPartitions {
-                    op: "sort".into(),
-                    arg: serde_json::Value::Null,
-                }],
-                sink: PlanSink::Collect,
-            })
-        })
-        .collect();
-    let reduce_results = pool.execute(&reduce_tasks).unwrap();
-
-    // Single-process reference.
-    let mut expected: Vec<Vec<i64>> = vec![Vec::new(); num_partitions];
-    for rows in &inputs {
-        for x in rows {
-            let y = x + 1;
-            expected[y.rem_euclid(num_partitions as i64) as usize].push(y);
-        }
-    }
-    for part in &mut expected {
-        part.sort_unstable();
-    }
-    for (p, result) in reduce_results.iter().enumerate() {
-        assert_eq!(collected_rows(result), expected[p], "partition {p}");
-    }
     pool.shutdown();
 }
 
@@ -287,9 +219,9 @@ fn shuffle_map_tasks(inputs: &[Vec<i64>]) -> Vec<DistTask> {
         .collect()
 }
 
-fn shuffle_spec(mode: ShuffleMode, prefix: &str) -> ShuffleSpec {
+fn shuffle_spec(prefix: &str) -> ShuffleSpec {
     ShuffleSpec {
-        mode,
+        mode: ShuffleMode::Remote,
         partitioner: "mod".into(),
         partitioner_arg: int_arg("parts", 4),
         num_partitions: 4,
@@ -314,23 +246,51 @@ fn shuffle_expected(inputs: &[Vec<i64>]) -> Vec<Vec<i64>> {
     expected
 }
 
+/// The in-process plan a shuffle must reproduce: each map task's rows
+/// (map ops applied by the registry) routed through the same `mod 4`
+/// partitioner in map-task order, then the reduce fragment run per
+/// partition over the concatenation, with inline input.
+fn in_process_shuffle(map_tasks: &[DistTask], spec: &ShuffleSpec) -> Vec<TaskResult> {
+    let registry = int_registry();
+    let mut parts: Vec<Vec<i64>> = vec![Vec::new(); spec.num_partitions];
+    for task in map_tasks {
+        let map = PlanFragment { sink: PlanSink::Collect, ..task.fragment.clone() };
+        let mapped = registry.execute(&map, task.payload.as_deref(), None).unwrap();
+        for x in collected_rows(&mapped) {
+            parts[x.rem_euclid(spec.num_partitions as i64) as usize].push(x);
+        }
+    }
+    parts
+        .iter()
+        .map(|rows| {
+            let reduce = PlanFragment {
+                schema: "i64".into(),
+                input: PlanInput::Inline,
+                ops: spec.reduce_ops.clone(),
+                sink: spec.reduce_sink.clone(),
+            };
+            registry.execute(&reduce, Some(&encode_rows(rows).unwrap()), None).unwrap()
+        })
+        .collect()
+}
+
 #[test]
-fn remote_shuffle_matches_shared_store_byte_for_byte() {
+fn shuffle_matches_the_in_process_plan_byte_for_byte() {
     let inputs = shuffle_inputs();
     let map_tasks = shuffle_map_tasks(&inputs);
     let expected = shuffle_expected(&inputs);
+    let spec = shuffle_spec("rs/clean");
+    let reference = in_process_shuffle(&map_tasks, &spec);
 
     let mut pool = WorkerPool::spawn(pool_config(3)).unwrap();
-    let shared =
-        pool.run_shuffle(&map_tasks, &shuffle_spec(ShuffleMode::SharedStore, "rs/shared")).unwrap();
-    let remote =
-        pool.run_shuffle(&map_tasks, &shuffle_spec(ShuffleMode::Remote, "rs/remote")).unwrap();
+    let remote = pool.run_shuffle(&map_tasks, &spec).unwrap();
 
     for p in 0..4 {
-        assert_eq!(collected_rows(&shared[p]), expected[p], "shared partition {p}");
+        assert_eq!(collected_rows(&reference[p]), expected[p], "reference partition {p}");
+        assert_eq!(reference[p].output, remote[p].output, "partition {p} output diverged");
         assert_eq!(
-            shared[p].payload, remote[p].payload,
-            "partition {p} must be byte-identical across shuffle modes"
+            reference[p].payload, remote[p].payload,
+            "partition {p} must be byte-identical to the in-process plan"
         );
     }
     let stats = pool.stats();
@@ -339,7 +299,7 @@ fn remote_shuffle_matches_shared_store_byte_for_byte() {
     assert_eq!(stats.fetch_failures, 0);
     assert_eq!(stats.map_outputs_lost, 0);
     assert_eq!(stats.map_outputs_regenerated, 0);
-    assert_eq!(pool.shuffle_epoch("rs/remote"), Some(0), "clean run never bumps the epoch");
+    assert_eq!(pool.shuffle_epoch("rs/clean"), Some(0), "clean run never bumps the epoch");
     pool.shutdown();
 }
 
@@ -358,8 +318,7 @@ fn torn_fetches_recover_with_one_retry_per_strike() {
             .with_key_filter("task-00000/"),
     );
     let mut pool = WorkerPool::spawn(cfg).unwrap();
-    let results =
-        pool.run_shuffle(&map_tasks, &shuffle_spec(ShuffleMode::Remote, "rs/torn")).unwrap();
+    let results = pool.run_shuffle(&map_tasks, &shuffle_spec("rs/torn")).unwrap();
 
     for p in 0..4 {
         assert_eq!(collected_rows(&results[p]), expected[p], "partition {p}");
@@ -385,8 +344,7 @@ fn killed_serving_worker_regenerates_its_outputs_via_lineage() {
         Some(FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/"));
     cfg.respawn_backoff = Duration::from_millis(10);
     let mut pool = WorkerPool::spawn(cfg).unwrap();
-    let results =
-        pool.run_shuffle(&map_tasks, &shuffle_spec(ShuffleMode::Remote, "rs/kill")).unwrap();
+    let results = pool.run_shuffle(&map_tasks, &shuffle_spec("rs/kill")).unwrap();
 
     for p in 0..4 {
         assert_eq!(

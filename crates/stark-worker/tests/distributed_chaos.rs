@@ -22,25 +22,25 @@ use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{
     decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
 };
-use stark_engine::supervisor::{bucket_keys_for_partition, find_worker_bin, DistTask};
-use stark_engine::{TaskResult, TransportChaos, TransportPolicy, WorkerPool, WorkerPoolConfig};
+use stark_engine::supervisor::DistTask;
+use stark_engine::{
+    ShuffleMode, ShuffleSpec, TaskResult, TransportChaos, TransportPolicy, WorkerPool,
+    WorkerPoolConfig,
+};
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
+
+/// Built by cargo in this test's own profile — no directory search.
+const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
 
 fn chaos_seed() -> u64 {
     match std::env::var("STARK_CHAOS_SEED") {
         Ok(s) => s.trim().parse().expect("STARK_CHAOS_SEED must be a u64"),
         Err(_) => DEFAULT_CHAOS_SEED,
     }
-}
-
-fn worker_bin() -> PathBuf {
-    find_worker_bin("stark-worker")
-        .expect("stark-worker binary not built; `cargo test` builds workspace bins first")
 }
 
 fn space() -> Envelope {
@@ -61,15 +61,15 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
 
 fn kill_pool(workers: usize) -> (WorkerPool, Arc<TransportChaos>) {
     let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
-    let mut cfg = WorkerPoolConfig::new(worker_bin());
+    let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
     cfg.chaos = Some(chaos.clone());
     (WorkerPool::spawn(cfg).expect("spawn chaos pool"), chaos)
 }
 
 /// Shuffle `data` through the grid partitioner inside the workers, then
-/// run `ops`+`sink` per partition over the written buckets. The chaos
-/// policy (if any) strikes the first stage-1 dispatch: mid-shuffle.
+/// run `ops`+`sink` per partition over the fetched buckets. The chaos
+/// policy (if any) strikes the first map-stage dispatch: mid-shuffle.
 fn two_stage(
     pool: &mut WorkerPool,
     data: &[EventRow],
@@ -78,49 +78,31 @@ fn two_stage(
     ops: Vec<PlanOp>,
     sink: PlanSink,
 ) -> Vec<TaskResult> {
-    let parts = grid.num_partitions();
     let chunk = data.len().div_ceil(tasks.max(1)).max(1);
     let map_tasks: Vec<DistTask> = data
         .chunks(chunk)
-        .enumerate()
-        .map(|(task, rows)| {
+        .map(|rows| {
             DistTask::with_rows(
                 PlanFragment {
                     schema: "event".into(),
                     input: PlanInput::Inline,
                     ops: Vec::new(),
-                    sink: PlanSink::ShuffleWrite {
-                        partitioner: "grid".into(),
-                        arg: to_arg(grid),
-                        num_partitions: parts,
-                        prefix: "dc/s0".into(),
-                        task,
-                    },
+                    sink: PlanSink::Collect, // replaced by run_shuffle
                 },
                 encode_rows(rows).expect("encode chunk"),
             )
         })
         .collect();
-    let counts: Vec<Vec<u64>> = pool
-        .execute(&map_tasks)
-        .expect("shuffle stage")
-        .iter()
-        .map(|r| match &r.output {
-            TaskOutput::BucketCounts(c) => c.clone(),
-            other => panic!("expected bucket counts, got {other:?}"),
-        })
-        .collect();
-    let reduce_tasks: Vec<DistTask> = (0..parts)
-        .map(|p| {
-            DistTask::new(PlanFragment {
-                schema: "event".into(),
-                input: PlanInput::Store { keys: bucket_keys_for_partition("dc/s0", &counts, p) },
-                ops: ops.clone(),
-                sink: sink.clone(),
-            })
-        })
-        .collect();
-    pool.execute(&reduce_tasks).expect("reduce stage")
+    let spec = ShuffleSpec {
+        mode: ShuffleMode::Remote,
+        partitioner: "grid".into(),
+        partitioner_arg: to_arg(grid),
+        num_partitions: grid.num_partitions(),
+        prefix: "dc/s0".into(),
+        reduce_ops: ops,
+        reduce_sink: sink,
+    };
+    pool.run_shuffle(&map_tasks, &spec).expect("shuffle job")
 }
 
 fn sorted_ids(results: &[TaskResult]) -> Vec<u64> {

@@ -4,9 +4,11 @@
 //!
 //! The invariants pinned here:
 //!
-//! 1. `ShuffleMode::Remote` is **byte-identical** to
-//!    `ShuffleMode::SharedStore` on the S14 workload set (A1 filter and
-//!    F4 self-join over grid-routed events), faults or no faults;
+//! 1. the remote shuffle is **byte-identical** to the same plan run
+//!    in-process (rows routed by the same partitioner in map-task
+//!    order, reduce fragment run per partition) on the S14 workload set
+//!    (A1 filter and F4 self-join over grid-routed events), faults or no
+//!    faults;
 //! 2. killing a worker after it produced map outputs yields the
 //!    byte-identical final result with `map_outputs_regenerated ==
 //!    map_outputs_lost` — every lost output is re-produced via lineage
@@ -20,30 +22,27 @@
 //! (CI pins one).
 
 use proptest::prelude::*;
-use stark::distributed::{to_arg, EventRow, SelfJoinArg, StFilterArg};
+use stark::distributed::{event_registry, to_arg, EventRow, SelfJoinArg, StFilterArg};
 use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink};
-use stark_engine::supervisor::{find_worker_bin, DistTask};
+use stark_engine::supervisor::DistTask;
 use stark_engine::{
     FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
-use std::path::PathBuf;
 use std::time::Duration;
 
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
+
+/// Built by cargo in this test's own profile — no directory search.
+const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
 
 fn chaos_seed() -> u64 {
     match std::env::var("STARK_CHAOS_SEED") {
         Ok(s) => s.trim().parse().expect("STARK_CHAOS_SEED must be a u64"),
         Err(_) => DEFAULT_CHAOS_SEED,
     }
-}
-
-fn worker_bin() -> PathBuf {
-    find_worker_bin("stark-worker")
-        .expect("stark-worker binary not built; `cargo test` builds workspace bins first")
 }
 
 fn space() -> Envelope {
@@ -63,7 +62,7 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
 }
 
 fn shuffle_pool(workers: usize, fetch_chaos: Option<FetchChaos>) -> WorkerPool {
-    let mut cfg = WorkerPoolConfig::new(worker_bin());
+    let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
     cfg.fetch_chaos = fetch_chaos;
     cfg.respawn_backoff = Duration::from_millis(10);
@@ -91,13 +90,12 @@ fn map_tasks_for(data: &[EventRow], tasks: usize) -> Vec<DistTask> {
 
 fn grid_spec(
     grid: &GridPartitioner,
-    mode: ShuffleMode,
     prefix: &str,
     ops: Vec<PlanOp>,
     sink: PlanSink,
 ) -> ShuffleSpec {
     ShuffleSpec {
-        mode,
+        mode: ShuffleMode::Remote,
         partitioner: "grid".into(),
         partitioner_arg: to_arg(grid),
         num_partitions: grid.num_partitions(),
@@ -145,68 +143,65 @@ fn self_join_sink(radius: f64) -> PlanSink {
     }
 }
 
-fn assert_results_identical(shared: &[TaskResult], remote: &[TaskResult], label: &str) {
-    assert_eq!(shared.len(), remote.len(), "{label}: partition count");
-    for (p, (s, r)) in shared.iter().zip(remote).enumerate() {
+/// The in-process plan a shuffle must reproduce: each map task's rows
+/// (decoded through the registry, as a worker would) routed through the
+/// same grid partitioner in map-task order, then the reduce fragment run
+/// per partition over the concatenation, with inline input.
+fn in_process_shuffle(
+    maps: &[DistTask],
+    grid: &GridPartitioner,
+    spec: &ShuffleSpec,
+) -> Vec<TaskResult> {
+    let registry = event_registry();
+    let mut parts: Vec<Vec<EventRow>> = vec![Vec::new(); spec.num_partitions];
+    for task in maps {
+        let map = PlanFragment { sink: PlanSink::Collect, ..task.fragment.clone() };
+        let mapped = registry.execute(&map, task.payload.as_deref(), None).expect("map side");
+        for row in decode_rows::<EventRow>(mapped.payload.as_deref().expect("collect payload"))
+            .expect("decode map rows")
+        {
+            parts[grid.partition_of(&row.0)].push(row);
+        }
+    }
+    parts
+        .iter()
+        .map(|rows| {
+            let reduce = PlanFragment {
+                schema: "event".into(),
+                input: PlanInput::Inline,
+                ops: spec.reduce_ops.clone(),
+                sink: spec.reduce_sink.clone(),
+            };
+            let payload = encode_rows(rows).expect("encode partition");
+            registry.execute(&reduce, Some(&payload), None).expect("reduce side")
+        })
+        .collect()
+}
+
+fn assert_results_identical(reference: &[TaskResult], remote: &[TaskResult], label: &str) {
+    assert_eq!(reference.len(), remote.len(), "{label}: partition count");
+    for (p, (s, r)) in reference.iter().zip(remote).enumerate() {
         assert_eq!(s.output, r.output, "{label}: partition {p} output diverged");
         assert_eq!(s.payload, r.payload, "{label}: partition {p} payload diverged");
     }
 }
 
 #[test]
-fn remote_shuffle_is_byte_identical_to_shared_store_on_s14_workloads() {
+fn remote_shuffle_is_byte_identical_to_the_in_process_plan_on_s14_workloads() {
     let data = events(chaos_seed(), 2_000);
     let grid = grid_for(&data);
     let maps = map_tasks_for(&data, 8);
     let mut pool = shuffle_pool(4, None);
 
-    // A1: spatio-temporal containment filter per partition.
-    let filter_shared = pool
-        .run_shuffle(
-            &maps,
-            &grid_spec(
-                &grid,
-                ShuffleMode::SharedStore,
-                "sc/a1-shared",
-                vec![st_filter_op()],
-                PlanSink::Collect,
-            ),
-        )
-        .expect("A1 shared");
-    let filter_remote = pool
-        .run_shuffle(
-            &maps,
-            &grid_spec(
-                &grid,
-                ShuffleMode::Remote,
-                "sc/a1-remote",
-                vec![st_filter_op()],
-                PlanSink::Collect,
-            ),
-        )
-        .expect("A1 remote");
-    assert_results_identical(&filter_shared, &filter_remote, "A1 filter");
-
-    // F4: within-distance self-join per partition.
-    let join_shared = pool
-        .run_shuffle(
-            &maps,
-            &grid_spec(
-                &grid,
-                ShuffleMode::SharedStore,
-                "sc/f4-shared",
-                Vec::new(),
-                self_join_sink(5.0),
-            ),
-        )
-        .expect("F4 shared");
-    let join_remote = pool
-        .run_shuffle(
-            &maps,
-            &grid_spec(&grid, ShuffleMode::Remote, "sc/f4-remote", Vec::new(), self_join_sink(5.0)),
-        )
-        .expect("F4 remote");
-    assert_results_identical(&join_shared, &join_remote, "F4 self-join");
+    for (label, spec) in [
+        // A1: spatio-temporal containment filter per partition.
+        ("A1 filter", grid_spec(&grid, "sc/a1", vec![st_filter_op()], PlanSink::Collect)),
+        // F4: within-distance self-join per partition.
+        ("F4 self-join", grid_spec(&grid, "sc/f4", Vec::new(), self_join_sink(5.0))),
+    ] {
+        let remote = pool.run_shuffle(&maps, &spec).expect(label);
+        assert_results_identical(&in_process_shuffle(&maps, &grid, &spec), &remote, label);
+    }
 
     let stats = pool.stats();
     assert!(stats.shuffle_bytes_fetched_remote > 0, "remote mode must fetch peer-to-peer");
@@ -238,16 +233,7 @@ fn killing_a_serving_worker_regenerates_exactly_the_lost_outputs() {
     let chaos = FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/");
     let mut pool = shuffle_pool(4, Some(chaos));
     let results = pool
-        .run_shuffle(
-            &maps,
-            &grid_spec(
-                &grid,
-                ShuffleMode::Remote,
-                "sc/kill",
-                vec![st_filter_op()],
-                PlanSink::Collect,
-            ),
-        )
+        .run_shuffle(&maps, &grid_spec(&grid, "sc/kill", vec![st_filter_op()], PlanSink::Collect))
         .expect("remote shuffle with kill chaos");
 
     assert_eq!(sorted_ids(&results), reference, "recovery must be invisible in the results");
@@ -290,7 +276,7 @@ proptest! {
         let clean = clean_pool
             .run_shuffle(
                 &maps,
-                &grid_spec(&grid, ShuffleMode::Remote, "sc/prop", vec![st_filter_op()], PlanSink::Collect),
+                &grid_spec(&grid, "sc/prop", vec![st_filter_op()], PlanSink::Collect),
             )
             .expect("clean remote shuffle");
         clean_pool.shutdown();
@@ -304,7 +290,7 @@ proptest! {
         let struck = pool
             .run_shuffle(
                 &maps,
-                &grid_spec(&grid, ShuffleMode::Remote, "sc/prop", vec![st_filter_op()], PlanSink::Collect),
+                &grid_spec(&grid, "sc/prop", vec![st_filter_op()], PlanSink::Collect),
             )
             .expect("struck remote shuffle");
 
