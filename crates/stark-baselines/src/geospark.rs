@@ -10,9 +10,9 @@
 //! reproduces that buggy behaviour.
 
 use crate::scheme::RegionScheme;
-use stark::{STObject, STPredicate};
+use stark::join::{match_pairs, JoinSide};
+use stark::{JoinIndexMode, STObject, STPredicate};
 use stark_engine::{Rdd, StoreData};
-use stark_index::{Entry, StrTree};
 use std::sync::Arc;
 
 /// Configuration for the GeoSpark-style join.
@@ -68,23 +68,12 @@ pub fn geospark_join<V: StoreData, W: StoreData>(
     let left_placed = left_rep.partition_by(num, |(t, _)| *t).map(|(_, r)| r);
     let right_placed = right_rep.partition_by(num, |(t, _)| *t).map(|(_, r)| r);
 
-    // 2. Partition-aligned local join with a live index on the right.
-    let order = cfg.index_order;
-    let joined = left_placed.zip_partitions(&right_placed, move |_, ldata, rdata| {
-        let entries: Vec<Entry<usize>> =
-            rdata.iter().enumerate().map(|(i, (_, o, _))| Entry::new(o.envelope(), i)).collect();
-        let tree = StrTree::build(order, entries);
-        let mut out = Vec::new();
-        for l in &ldata {
-            let probe = pred.index_probe(&l.1);
-            tree.for_each_candidate(&probe, &mut |e| {
-                let r = &rdata[e.item];
-                if pred.eval(&l.1, &r.1) {
-                    out.push((l.clone(), r.clone()));
-                }
-            });
-        }
-        out
+    // 2. Partition-aligned local join with a live index on the right,
+    //    through the same in-partition matcher STARK's join runs.
+    let index = JoinIndexMode::Live { order: cfg.index_order };
+    let aligned = (0..num).map(|i| (i, i)).collect();
+    let joined = left_placed.match_partition_pairs(&right_placed, aligned, move |_, l, r, emit| {
+        match_pairs(&pred, index, JoinSide::new(l, |x| &x.1), JoinSide::new(r, |x| &x.1), emit)
     });
 
     if !cfg.dedup {

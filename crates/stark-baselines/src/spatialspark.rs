@@ -13,10 +13,10 @@
 //! "No Partitioning" bars.
 
 use crate::scheme::RegionScheme;
-use stark::{STObject, STPredicate};
+use stark::join::{match_pairs, JoinSide};
+use stark::{JoinIndexMode, STObject, STPredicate};
 use stark_engine::{Rdd, StoreData};
 use stark_geo::{Coord, Envelope};
-use stark_index::{Entry, StrTree};
 use std::sync::Arc;
 
 /// Reference point of a matched pair: the minimum corner of the
@@ -65,26 +65,18 @@ pub fn spatialspark_join<V: StoreData, W: StoreData>(
         .map(|(_, r)| r);
 
     let s3 = scheme.clone();
-    left_placed.zip_partitions(&right_placed, move |part, ldata, rdata| {
-        let entries: Vec<Entry<usize>> =
-            rdata.iter().enumerate().map(|(i, (o, _))| Entry::new(o.envelope(), i)).collect();
-        let tree = StrTree::build(index_order, entries);
-        let mut out = Vec::new();
-        for l in &ldata {
-            let probe = pred.index_probe(&l.0);
-            tree.for_each_candidate(&probe, &mut |e| {
-                let r = &rdata[e.item];
-                // reference-point test: emit only in the owning tile
-                let owns = match reference_point(&probe, &r.0.envelope()) {
-                    Some(rp) => tile_of(&s3, &rp) == part,
-                    None => false,
-                };
-                if owns && pred.eval(&l.0, &r.0) {
-                    out.push((l.clone(), r.clone()));
-                }
-            });
-        }
-        out
+    let index = JoinIndexMode::Live { order: index_order };
+    let tiles = (0..num).map(|i| (i, i)).collect();
+    left_placed.match_partition_pairs(&right_placed, tiles, move |tile, l, r, emit| {
+        let (l, r) = (JoinSide::new(l, |x| &x.0), JoinSide::new(r, |x| &x.0));
+        match_pairs(&pred, index, l, r, &mut |a, b| {
+            // reference-point test: emit only in the owning tile
+            let owns = reference_point(&pred.index_probe(&a.0), &b.0.envelope())
+                .is_some_and(|rp| tile_of(&s3, &rp) == tile);
+            if owns {
+                emit(a, b);
+            }
+        })
     })
 }
 
@@ -105,16 +97,9 @@ pub fn broadcast_join<V: StoreData, W: StoreData>(
     }
     let lc = left.cache();
     let rc = right.cache();
-    lc.join_partition_pairs(&rc, pairs, move |ldata, rdata| {
-        let mut out = Vec::new();
-        for l in &ldata {
-            for r in &rdata {
-                if pred.eval(&l.0, &r.0) {
-                    out.push((l.clone(), r.clone()));
-                }
-            }
-        }
-        out
+    lc.match_partition_pairs(&rc, pairs, move |_, l, r, emit| {
+        let (l, r) = (JoinSide::new(l, |x| &x.0), JoinSide::new(r, |x| &x.0));
+        match_pairs(&pred, JoinIndexMode::NoIndex, l, r, emit)
     })
 }
 

@@ -76,12 +76,21 @@ pub struct ColumnarBatch {
     geom_offsets: Vec<u32>,
     /// Lane → index of the backing row in the source partition.
     payload_idx: Vec<u32>,
+    /// Every lane is `regular` and an `exact_point`: the batch is plain
+    /// finite points, eligible for the point × point join kernel.
+    all_points: bool,
 }
 
 impl ColumnarBatch {
     /// Builds the columns from one partition's rows (one pass).
     pub fn build<V>(rows: &[(STObject, V)]) -> ColumnarBatch {
-        let n = rows.len();
+        ColumnarBatch::from_objects(rows.iter().map(|(o, _)| o))
+    }
+
+    /// Builds the columns from the rows' objects, in row order — for row
+    /// types that keep their [`STObject`] somewhere other than `.0`.
+    pub fn from_objects<'a>(objects: impl ExactSizeIterator<Item = &'a STObject>) -> ColumnarBatch {
+        let n = objects.len();
         let mut b = ColumnarBatch {
             len: n,
             cx: Vec::with_capacity(n),
@@ -99,10 +108,11 @@ impl ColumnarBatch {
             exact_point: SelectionBitmap::none_set(n),
             geom_offsets: Vec::with_capacity(n + 1),
             payload_idx: Vec::with_capacity(n),
+            all_points: true,
         };
         b.geom_offsets.push(0);
         let mut coords = 0u32;
-        for (i, (obj, _)) in rows.iter().enumerate() {
+        for (i, obj) in objects.enumerate() {
             let c = obj.centroid();
             b.cx.push(c.x);
             b.cy.push(c.y);
@@ -129,6 +139,7 @@ impl ColumnarBatch {
             if matches!(obj.geo(), Geometry::Point(_)) {
                 b.exact_point.set(i);
             }
+            b.all_points &= b.regular.get(i) && b.exact_point.get(i);
             match obj.time() {
                 None => {
                     b.t_start.push(0);
@@ -166,6 +177,21 @@ impl ColumnarBatch {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Whether every lane is a finite exact `Point` (see the field).
+    pub fn all_points(&self) -> bool {
+        self.all_points
+    }
+
+    /// Centroid x column (for exact points: the point's x).
+    pub fn cx(&self) -> &[f64] {
+        &self.cx
+    }
+
+    /// Centroid y column (for exact points: the point's y).
+    pub fn cy(&self) -> &[f64] {
+        &self.cy
     }
 
     /// Index of the backing row for lane `i`.
@@ -431,6 +457,19 @@ mod tests {
         assert_eq!(b.geom_range(1), 1..6, "closed polygon ring has 5 coords");
         assert_eq!(b.payload_index(0), 0);
         assert_eq!(b.payload_index(1), 1);
+        assert!(!b.all_points(), "a polygon lane");
+    }
+
+    #[test]
+    fn all_points_needs_finite_exact_points() {
+        let pts = vec![pt(1.0, 2.0), pt(3.0, -4.0)];
+        let b = ColumnarBatch::build(&pts);
+        assert!(b.all_points());
+        assert_eq!((b.cx(), b.cy()), (&[1.0, 3.0][..], &[2.0, -4.0][..]));
+        assert!(ColumnarBatch::build::<u64>(&[]).all_points());
+        assert!(!ColumnarBatch::build(&[pt(1.0, 2.0), pt(f64::NAN, 0.0)]).all_points());
+        let multi = STObject::new(Geometry::from_wkt("MULTIPOINT((1 1))").unwrap());
+        assert!(!ColumnarBatch::build(&[(multi, 0u64)]).all_points(), "point-like is not a point");
     }
 
     #[test]

@@ -4,13 +4,25 @@
 //! Execution follows STARK's partition-pair scheme: every pair of
 //! partitions whose *extents* could satisfy the predicate becomes one
 //! task; each pair is evaluated exactly once, so — unlike replication
-//! based approaches — no duplicate elimination is needed. Within a task
-//! the right side can be live-indexed with an STR-tree.
+//! based approaches — no duplicate elimination is needed.
+//!
+//! Within a task one matcher, [`match_pairs`], reports the matching
+//! element pairs. With a live index it picks the algorithm per pair of
+//! partitions: when both partitions' cached columnar sidecars are plain
+//! points and the predicate is Euclidean `withinDistance`, an ε-grid
+//! kernel over the centroid columns
+//! ([`euclidean_grid_join`](stark_geo::kernels::euclidean_grid_join));
+//! otherwise an STR-tree over the right side. Both accept exactly the
+//! same pairs. The matcher feeds two consumers: computing the joined
+//! dataset clones the matched rows, while `count()` only sums matches
+//! (see [`Rdd::match_partition_pairs`]).
 
+use crate::columnar::ColumnarBatch;
 use crate::predicate::STPredicate;
 use crate::spatial_rdd::SpatialRdd;
 use crate::stobject::STObject;
-use stark_engine::{Data, Rdd, StoreData};
+use stark_engine::{Data, Partition, Rdd, StoreData};
+use stark_geo::kernels::euclidean_grid_join;
 use stark_geo::{DistanceFn, Envelope};
 use stark_index::{Entry, StrTree};
 
@@ -20,8 +32,10 @@ use stark_index::{Entry, StrTree};
 pub enum JoinIndexMode {
     /// Nested-loop evaluation of each partition pair.
     NoIndex,
-    /// Build an STR-tree of the given order over the right side of each
-    /// pair and probe it with every left element.
+    /// Index the right side of each pair and probe it with every left
+    /// element: an STR-tree of the given order, or — for Euclidean
+    /// `withinDistance` between two all-point partitions — an ε-grid
+    /// over the point columns, which ignores `order`.
     Live { order: usize },
 }
 
@@ -122,9 +136,15 @@ impl<V: Data> SpatialRdd<V> {
             }
         }
 
-        let index_mode = cfg.index;
-        left_rdd.join_partition_pairs(&right_rdd, pairs, move |ldata, rdata| {
-            local_join(&pred, index_mode, &ldata, &rdata)
+        let index = cfg.index;
+        left_rdd.match_partition_pairs(&right_rdd, pairs, move |_, ldata, rdata, emit| {
+            match_pairs(
+                &pred,
+                index,
+                JoinSide::new(ldata, |r| &r.0),
+                JoinSide::new(rdata, |r| &r.0),
+                emit,
+            )
         })
     }
 
@@ -153,39 +173,91 @@ impl<V: Data> SpatialRdd<V> {
     }
 }
 
-fn local_join<V: Data, W: Data>(
+/// One side of an in-partition join: a partition and where its rows
+/// keep their [`STObject`] (`|r| &r.0` for `(STObject, V)` rows).
+pub struct JoinSide<'a, T, G> {
+    rows: &'a Partition<T>,
+    geo: G,
+}
+
+impl<'a, T, G: Fn(&T) -> &STObject> JoinSide<'a, T, G> {
+    /// `rows`, whose objects `geo` reads.
+    pub fn new(rows: &'a Partition<T>, geo: G) -> Self {
+        JoinSide { rows, geo }
+    }
+
+    /// The partition's columnar sidecar — the same cached
+    /// [`ColumnarBatch`] the filters use, built on first use.
+    fn columns(&self) -> std::sync::Arc<ColumnarBatch> {
+        self.rows.to_columns(|rows| ColumnarBatch::from_objects(rows.iter().map(&self.geo)))
+    }
+}
+
+/// The in-partition join matcher: calls `emit(l, r)` for every pair of
+/// a left and a right row with `pred(l, r)`, each pair once.
+///
+/// * [`JoinIndexMode::NoIndex`]: a nested loop over
+///   [`STPredicate::eval`].
+/// * [`JoinIndexMode::Live`] with Euclidean `withinDistance` and both
+///   sidecars [`all_points`](ColumnarBatch::all_points): the ε-grid
+///   kernel over the centroid columns. It accepts a pair iff the right
+///   point lies in the left point's `d`-buffered box and the distance
+///   test holds — the tree probe's candidate test followed by the
+///   predicate's own arithmetic, so both produce the same pairs.
+/// * [`JoinIndexMode::Live`] otherwise: an STR-tree over the right
+///   side, probed with [`STPredicate::index_probe`] and refined with
+///   [`STPredicate::eval`].
+pub fn match_pairs<L, R, GL, GR>(
     pred: &STPredicate,
     index: JoinIndexMode,
-    ldata: &[(STObject, V)],
-    rdata: &[(STObject, W)],
-) -> Vec<((STObject, V), (STObject, W))> {
-    let mut out = Vec::new();
-    match index {
+    left: JoinSide<'_, L, GL>,
+    right: JoinSide<'_, R, GR>,
+    emit: &mut dyn FnMut(&L, &R),
+) where
+    GL: Fn(&L) -> &STObject,
+    GR: Fn(&R) -> &STObject,
+{
+    let (lrows, rrows) = (left.rows.as_slice(), right.rows.as_slice());
+    if lrows.is_empty() || rrows.is_empty() {
+        return;
+    }
+    let (lgeo, rgeo) = (&left.geo, &right.geo);
+    let order = match index {
         JoinIndexMode::NoIndex => {
-            for l in ldata {
-                for r in rdata {
-                    if pred.eval(&l.0, &r.0) {
-                        out.push((l.clone(), r.clone()));
+            for l in lrows {
+                let lo = lgeo(l);
+                for r in rrows {
+                    if pred.eval(lo, rgeo(r)) {
+                        emit(l, r);
                     }
                 }
             }
+            return;
         }
-        JoinIndexMode::Live { order } => {
-            let entries: Vec<Entry<usize>> =
-                rdata.iter().enumerate().map(|(i, (o, _))| Entry::new(o.envelope(), i)).collect();
-            let tree = StrTree::build(order, entries);
-            for l in ldata {
-                let probe = pred.index_probe(&l.0);
-                tree.for_each_candidate(&probe, &mut |entry| {
-                    let r = &rdata[entry.item];
-                    if pred.eval(&l.0, &r.0) {
-                        out.push((l.clone(), r.clone()));
-                    }
-                });
-            }
+        JoinIndexMode::Live { order } => order,
+    };
+    if let STPredicate::WithinDistance { max_dist, dist_fn: DistanceFn::Euclidean } = *pred {
+        let (lcols, rcols) = (left.columns(), right.columns());
+        if lcols.all_points() && rcols.all_points() {
+            let (lx, ly, rx, ry) = (lcols.cx(), lcols.cy(), rcols.cx(), rcols.cy());
+            euclidean_grid_join(lx, ly, rx, ry, max_dist, |i, j| {
+                emit(&lrows[lcols.payload_index(i)], &rrows[rcols.payload_index(j)])
+            });
+            return;
         }
     }
-    out
+    let entries: Vec<Entry<usize>> =
+        rrows.iter().enumerate().map(|(i, r)| Entry::new(rgeo(r).envelope(), i)).collect();
+    let tree = StrTree::build(order, entries);
+    for l in lrows {
+        let lo = lgeo(l);
+        tree.for_each_candidate(&pred.index_probe(lo), &mut |entry| {
+            let r = &rrows[entry.item];
+            if pred.eval(lo, rgeo(r)) {
+                emit(l, r);
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +386,26 @@ mod tests {
         let b = ctx.parallelize(b, 1).spatial();
         let got = ids(a.join(&b, STPredicate::Intersects, JoinConfig::default()).collect());
         assert_eq!(got, vec![(0, 0)], "same place, different instant must not join");
+    }
+
+    #[test]
+    fn self_join_over_cached_data_reserves_it_once() {
+        use stark_engine::EngineConfig;
+        let ctx = Context::with_config(EngineConfig {
+            parallelism: 2,
+            memory_budget: Some(1 << 30),
+            ..EngineConfig::default()
+        });
+        let data: Vec<(STObject, u32)> =
+            (0..200).map(|i| (STObject::point((i % 20) as f64, (i / 20) as f64), i)).collect();
+        let bytes = (data.len() * std::mem::size_of::<(STObject, u32)>()) as u64;
+        let cached = ctx.parallelize(data, 4).cache();
+        cached.count();
+        assert_eq!(ctx.metrics().bytes_reserved_peak, bytes);
+        let pred = STPredicate::within_distance(1.0);
+        let n = cached.spatial().self_join(pred, JoinConfig::default()).count();
+        assert_eq!(n, 200 + 2 * (19 * 10 + 9 * 20), "itself plus its lattice neighbours");
+        assert_eq!(ctx.metrics().bytes_reserved_peak, bytes, "join must not re-cache its input");
     }
 
     #[test]

@@ -510,7 +510,13 @@ pub(crate) fn run_partitions<T: Data, R: Send>(
     inner: &Arc<dyn RddImpl<T>>,
     f: impl Fn(usize, Partition<T>) -> R + Send + Sync,
 ) -> Vec<R> {
-    match try_run_partitions(ctx, inner, f) {
+    unwrap_job(try_run_partitions(ctx, inner, f))
+}
+
+/// The panic half of [`run_partitions`], for callers that ran the job
+/// through [`try_run_partitions`] themselves.
+pub(crate) fn unwrap_job<R>(outcome: Result<R, TaskError>) -> R {
+    match outcome {
         Ok(results) => results,
         // Deterministic kinds (cancellation, structural, malformed input)
         // keep their typed payload: an enclosing task's `classify` then

@@ -70,9 +70,21 @@ pub struct MemoryManager {
     reserved: AtomicU64,
     /// LRU clock: bumped on every victim touch.
     clock: AtomicU64,
-    victims: Mutex<Vec<Victim>>,
+    victims: Mutex<Victims>,
     metrics: Arc<Metrics>,
 }
+
+/// The victim registry, swept of dead registrations as it grows.
+struct Victims {
+    list: Vec<Victim>,
+    /// Length at which the next registration sweeps `list`: twice the
+    /// survivors of the last sweep (at least [`MIN_SWEEP`]), so sweeping
+    /// costs amortised O(1) per registration.
+    sweep_at: usize,
+}
+
+/// Smallest registry length worth sweeping.
+const MIN_SWEEP: usize = 64;
 
 impl std::fmt::Debug for MemoryManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -118,7 +130,7 @@ impl MemoryManager {
             effective: AtomicU64::new(configured),
             reserved: AtomicU64::new(0),
             clock: AtomicU64::new(0),
-            victims: Mutex::new(Vec::new()),
+            victims: Mutex::new(Victims { list: Vec::new(), sweep_at: MIN_SWEEP }),
             metrics,
         })
     }
@@ -189,17 +201,23 @@ impl MemoryManager {
 
     /// Registers an evictable storage cell. Returns the shared LRU
     /// touch cell: the owner stores the current clock into it on every
-    /// access ([`MemoryManager::touch`]), lock-free.
+    /// access ([`MemoryManager::touch`]), lock-free, and drops it with
+    /// the cell — a registration whose touch cell nobody else holds is
+    /// dead. Dead registrations are swept here as the registry grows,
+    /// so datasets cached and dropped on an unbounded context (where
+    /// eviction never runs) do not pile up.
     pub(crate) fn register_victim(
         &self,
         evict: Box<dyn Fn() -> VictimState + Send + Sync>,
     ) -> Arc<AtomicU64> {
         let last_touch = Arc::new(AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)));
         let handle = Arc::clone(&last_touch);
-        self.victims
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Victim { last_touch, evict });
+        let mut victims = self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if victims.list.len() >= victims.sweep_at {
+            victims.list.retain(|v| Arc::strong_count(&v.last_touch) > 1);
+            victims.sweep_at = (2 * victims.list.len()).max(MIN_SWEEP);
+        }
+        victims.list.push(Victim { last_touch, evict });
         handle
     }
 
@@ -221,7 +239,8 @@ impl MemoryManager {
         if fits(self) {
             return true;
         }
-        let mut victims = self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let victims = &mut guard.list;
         // Oldest-touch-first scan. The list is small (one entry per
         // cached/checkpointed partition cell constructed on the context),
         // and eviction is already the slow path. Touch stamps are
@@ -258,7 +277,7 @@ impl MemoryManager {
 
     #[cfg(test)]
     pub(crate) fn victim_count(&self) -> usize {
-        self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner).list.len()
     }
 
     /// Creates a child budget capped at `cap` bytes (`None` = bounded

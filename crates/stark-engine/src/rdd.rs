@@ -57,6 +57,17 @@ pub(crate) trait RddImpl<T: Data>: Send + Sync {
     /// served back. Nodes without storage propagate to their parents;
     /// the default is a no-op for true sources.
     fn evict(&self, _partition: usize) {}
+    /// A node whose partition `p` is the one-element count of this
+    /// node's partition `p`, for nodes that can count their output
+    /// without building it. [`Rdd::count`] runs it as an ordinary job.
+    fn counter(&self) -> Option<Arc<dyn RddImpl<usize>>> {
+        None
+    }
+    /// Whether this node already memoises its partitions
+    /// ([`Rdd::cache`] is then the identity).
+    fn is_cache(&self) -> bool {
+        false
+    }
 }
 
 /// By-value iterator stage inside a fused narrow chain.
@@ -281,36 +292,17 @@ impl<T: Data> RddImpl<T> for MaskRdd<T> {
     }
 }
 
-struct ZipPartitionsRdd<A: Data, B: Data, R: Data> {
-    left: Arc<dyn RddImpl<A>>,
-    right: Arc<dyn RddImpl<B>>,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(usize, Partition<A>, Partition<B>) -> Vec<R> + Send + Sync>,
-}
-
-impl<A: Data, B: Data, R: Data> RddImpl<R> for ZipPartitionsRdd<A, B, R> {
-    fn num_partitions(&self) -> usize {
-        self.left.num_partitions()
-    }
-    fn compute(&self, partition: usize) -> Partition<R> {
-        Partition::from_vec((self.f)(
-            partition,
-            self.left.compute(partition),
-            self.right.compute(partition),
-        ))
-    }
-    fn evict(&self, partition: usize) {
-        self.left.evict(partition);
-        self.right.evict(partition);
-    }
-}
+/// Evaluates one partition pair: `(pair index, left, right)`.
+type PairFn<A, B, R> = Arc<dyn Fn(usize, Partition<A>, Partition<B>) -> R + Send + Sync>;
 
 struct PartitionPairJoinRdd<A: Data, B: Data, R: Data> {
     left: Arc<dyn RddImpl<A>>,
     right: Arc<dyn RddImpl<B>>,
-    pairs: Vec<(usize, usize)>,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(Partition<A>, Partition<B>) -> Vec<R> + Send + Sync>,
+    pairs: Arc<[(usize, usize)]>,
+    f: PairFn<A, B, Vec<R>>,
+    /// Counts one pair's output without building it, when the join
+    /// was built from a matcher.
+    count: Option<PairFn<A, B, usize>>,
 }
 
 impl<A: Data, B: Data, R: Data> RddImpl<R> for PartitionPairJoinRdd<A, B, R> {
@@ -319,12 +311,22 @@ impl<A: Data, B: Data, R: Data> RddImpl<R> for PartitionPairJoinRdd<A, B, R> {
     }
     fn compute(&self, partition: usize) -> Partition<R> {
         let (i, j) = self.pairs[partition];
-        Partition::from_vec((self.f)(self.left.compute(i), self.right.compute(j)))
+        Partition::from_vec((self.f)(partition, self.left.compute(i), self.right.compute(j)))
     }
     fn evict(&self, partition: usize) {
         let (i, j) = self.pairs[partition];
         self.left.evict(i);
         self.right.evict(j);
+    }
+    fn counter(&self) -> Option<Arc<dyn RddImpl<usize>>> {
+        let count = self.count.clone()?;
+        Some(Arc::new(PartitionPairJoinRdd {
+            left: self.left.clone(),
+            right: self.right.clone(),
+            pairs: self.pairs.clone(),
+            f: Arc::new(move |p, l, r| vec![count(p, l, r)]),
+            count: None,
+        }))
     }
 }
 
@@ -550,6 +552,9 @@ impl<T: Data> RddImpl<T> for CachedRdd<T> {
     fn evict(&self, partition: usize) {
         *lock_cell(&self.cells[partition]) = None;
         self.parent.evict(partition);
+    }
+    fn is_cache(&self) -> bool {
+        true
     }
 }
 
@@ -839,33 +844,19 @@ impl<T: Data> Rdd<T> {
         )
     }
 
-    /// Pairs up equal-numbered partitions of two datasets. Panics at
-    /// action time if the partition counts differ. The closure receives
-    /// shared [`Partition`] handles; borrow (`&data`, `data.iter()`) to
-    /// stay zero-copy, or iterate by value to take owned elements.
+    /// Pairs up equal-numbered partitions of two datasets: the partition
+    /// pairs `(i, i)`. Panics if the partition counts differ. The closure
+    /// receives shared [`Partition`] handles; borrow (`&data`,
+    /// `data.iter()`) to stay zero-copy, or iterate by value to take
+    /// owned elements.
     pub fn zip_partitions<B: Data, R: Data>(
         &self,
         other: &Rdd<B>,
         f: impl Fn(usize, Partition<T>, Partition<B>) -> Vec<R> + Send + Sync + 'static,
     ) -> Rdd<R> {
-        assert_eq!(
-            self.num_partitions(),
-            other.num_partitions(),
-            "zip_partitions requires equal partition counts"
-        );
-        Rdd {
-            ctx: self.ctx.clone(),
-            inner: Arc::new(ZipPartitionsRdd {
-                left: self.inner.clone(),
-                right: other.inner.clone(),
-                f: Arc::new(f),
-            }),
-            lineage: Lineage::derived(
-                "ZipPartitions",
-                vec![self.lineage.clone(), other.lineage.clone()],
-            ),
-            fused: None,
-        }
+        let n = self.num_partitions();
+        assert_eq!(n, other.num_partitions(), "zip_partitions requires equal partition counts");
+        self.pair_join(other, (0..n).map(|i| (i, i)).collect(), Arc::new(f), None)
     }
 
     /// Joins selected partition pairs of two datasets: output partition
@@ -882,6 +873,47 @@ impl<T: Data> Rdd<T> {
         pairs: Vec<(usize, usize)>,
         f: impl Fn(Partition<T>, Partition<B>) -> Vec<R> + Send + Sync + 'static,
     ) -> Rdd<R> {
+        self.pair_join(other, pairs, Arc::new(move |_, l, r| f(l, r)), None)
+    }
+
+    /// [`Rdd::join_partition_pairs`] driven by a *matcher*:
+    /// `matcher(p, left, right, emit)` calls `emit(a, b)` once per
+    /// matched element pair of output partition `p`. Computing a
+    /// partition clones the matched pairs; [`Rdd::count`] and
+    /// [`Rdd::count_with_deadline`] on the result only sum the matches
+    /// per task, so a counted join never builds its pairs. Any further
+    /// transformation sees the cloned pairs, as with any other node.
+    pub fn match_partition_pairs<B: Data>(
+        &self,
+        other: &Rdd<B>,
+        pairs: Vec<(usize, usize)>,
+        matcher: impl Fn(usize, &Partition<T>, &Partition<B>, &mut dyn FnMut(&T, &B))
+            + Send
+            + Sync
+            + 'static,
+    ) -> Rdd<(T, B)> {
+        let matcher = Arc::new(matcher);
+        let m = matcher.clone();
+        let build: PairFn<T, B, Vec<(T, B)>> = Arc::new(move |p, l, r| {
+            let mut out = Vec::new();
+            m(p, &l, &r, &mut |a, b| out.push((a.clone(), b.clone())));
+            out
+        });
+        let count: PairFn<T, B, usize> = Arc::new(move |p, l, r| {
+            let mut n = 0usize;
+            matcher(p, &l, &r, &mut |_, _| n += 1);
+            n
+        });
+        self.pair_join(other, pairs, build, Some(count))
+    }
+
+    fn pair_join<B: Data, R: Data>(
+        &self,
+        other: &Rdd<B>,
+        pairs: Vec<(usize, usize)>,
+        f: PairFn<T, B, Vec<R>>,
+        count: Option<PairFn<T, B, usize>>,
+    ) -> Rdd<R> {
         let ln = self.num_partitions();
         let rn = other.num_partitions();
         for &(i, j) in &pairs {
@@ -893,8 +925,9 @@ impl<T: Data> Rdd<T> {
             inner: Arc::new(PartitionPairJoinRdd {
                 left: self.inner.clone(),
                 right: other.inner.clone(),
-                pairs,
-                f: Arc::new(f),
+                pairs: pairs.into(),
+                f,
+                count,
             }),
             lineage: Lineage::derived(
                 format!("PartitionPairJoin[{n_pairs} pairs of {ln}x{rn}]"),
@@ -947,7 +980,14 @@ impl<T: Data> Rdd<T> {
     /// that does not fit is served uncached and recomputed on later
     /// accesses. Pressure evictions are counted in
     /// [`MetricsSnapshot::partitions_evicted_for_pressure`](crate::MetricsSnapshot).
+    ///
+    /// Idempotent: on an already-cached dataset this returns that
+    /// dataset, so its partitions are neither stored nor reserved
+    /// against the budget twice.
     pub fn cache(&self) -> Rdd<T> {
+        if self.inner.is_cache() {
+            return self.clone();
+        }
         let cells: Vec<StoreCell<T>> =
             (0..self.num_partitions()).map(|_| Arc::new(Mutex::new(None))).collect();
         let touches = register_store_cells(&self.ctx, &cells);
@@ -1068,7 +1108,19 @@ impl<T: Data> Rdd<T> {
     /// [`Rdd::collect_with_deadline`].
     pub fn count_with_deadline(&self, deadline: Duration) -> Result<usize, TaskError> {
         let _scope = self.ctx.deadline_scope(deadline);
-        Ok(self.try_run_partitions(|_, data| data.len())?.into_iter().sum())
+        Ok(self.try_count_per_partition()?.into_iter().sum())
+    }
+
+    /// Element count of every partition, as one job. A node that can
+    /// count without building its output (a matcher-driven join) runs
+    /// its counter node instead — same retries, speculation, faults and
+    /// deadlines, no rows.
+    fn try_count_per_partition(&self) -> Result<Vec<usize>, TaskError> {
+        self.ctx.raw_metrics().inc_jobs();
+        match self.inner.counter() {
+            Some(counter) => executor::try_run_partitions(&self.ctx, &counter, |_, n| n[0]),
+            None => executor::try_run_partitions(&self.ctx, &self.inner, |_, data| data.len()),
+        }
     }
 
     fn flatten_partitions(&self, mut parts: Vec<Partition<T>>) -> Vec<T> {
@@ -1092,12 +1144,12 @@ impl<T: Data> Rdd<T> {
 
     /// Number of elements.
     pub fn count(&self) -> usize {
-        self.run_partitions(|_, data| data.len()).into_iter().sum()
+        self.count_per_partition().into_iter().sum()
     }
 
     /// Number of elements in each partition.
     pub fn count_per_partition(&self) -> Vec<usize> {
-        self.run_partitions(|_, data| data.len())
+        executor::unwrap_job(self.try_count_per_partition())
     }
 
     /// Combines all elements with an associative function; `None` when
@@ -1715,6 +1767,60 @@ mod tests {
         });
         assert_eq!(joined.num_partitions(), 2);
         assert_eq!(joined.collect(), vec![11, 12, 23, 24]);
+    }
+
+    #[test]
+    fn matched_pairs_count_without_building_rows() {
+        let c = ctx();
+        let left = c.parallelize(vec![1, 2, 3, 4], 2).cache(); // [1,2] [3,4]
+        let right = c.parallelize(vec![10, 20, 30], 3).cache(); // [10] [20] [30]
+        let joined =
+            left.match_partition_pairs(&right, vec![(0, 0), (1, 1), (1, 2)], |p, xs, ys, emit| {
+                for x in xs.iter() {
+                    for y in ys.iter().filter(|y| (**y / 10 + x) % 2 == p % 2) {
+                        emit(x, y);
+                    }
+                }
+            });
+        let pairs = joined.collect();
+        assert_eq!(pairs, vec![(1, 10), (3, 20), (3, 30)]);
+        let before = c.metrics();
+        assert_eq!(joined.count(), pairs.len());
+        let deadline = std::time::Duration::from_secs(10);
+        assert_eq!(joined.count_with_deadline(deadline).unwrap(), pairs.len());
+        assert_eq!(joined.count_per_partition(), vec![1, 1, 1]);
+        let delta = c.metrics().diff(&before);
+        assert_eq!(delta.jobs, 3);
+        assert_eq!(delta.tasks_launched, 9, "one counting task per partition pair per job");
+        // a further transformation counts the rows it is given
+        assert_eq!(joined.map(|(x, y)| x + y).count(), 3);
+    }
+
+    #[test]
+    fn cache_is_idempotent() {
+        let c = ctx();
+        let once = c.parallelize((0..100).collect::<Vec<i64>>(), 4).cache();
+        let twice = once.cache();
+        assert_eq!(twice.explain().matches("Cache").count(), 1, "{}", twice.explain());
+        assert!(Arc::ptr_eq(once.lineage(), twice.lineage()));
+        assert_eq!(twice.count(), 100);
+        assert_eq!(c.metrics().bytes_reserved_peak, 100 * std::mem::size_of::<i64>() as u64);
+    }
+
+    #[test]
+    fn dropped_caches_do_not_pile_up_victims() {
+        let c = ctx();
+        assert_eq!(c.memory().budget(), None, "eviction never runs unbounded");
+        let base = c.parallelize((0..8).collect::<Vec<i32>>(), 4);
+        let kept = base.cache();
+        for _ in 0..10_000 {
+            drop(base.cache());
+        }
+        let live = c.memory().victim_count();
+        assert!(live < 100, "{live} registrations");
+        // the live dataset's cells stay registered
+        assert_eq!(kept.count(), 8);
+        assert!(live >= kept.num_partitions());
     }
 
     #[test]

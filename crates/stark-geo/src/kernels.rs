@@ -296,6 +296,151 @@ pub fn retain_euclidean_gap(
     });
 }
 
+/// Euclidean point × point distance join over centroid columns: calls
+/// `emit(i, j)` for every left lane `i` and right lane `j` with
+/// `sqrt(dx² + dy²) <= d`, without building a tree.
+///
+/// The right side is counting-sorted into a row-major grid of cells at
+/// least `d` wide (coarser when `d` is tiny relative to the extent: the
+/// grid never has more than two cells per right point), and each left
+/// point scans the cells its buffered box `[x ± d] × [y ± d]` covers —
+/// one contiguous run of sorted points per grid row. A pair is accepted
+/// iff the right point lies in that box *and* the distance test holds:
+/// the STR-tree probe's candidate test followed by `Coord::distance`'s
+/// own arithmetic, so the pair set is exactly the one a tree probe with
+/// a `d`-buffered envelope produces. The coordinate → cell mapping is
+/// monotone, so every point inside a box lies in a cell the box's
+/// corners span: sound without an epsilon.
+///
+/// Callers must pass finite coordinates (non-finite lanes belong on the
+/// tree path). Negative and `NaN` cutoffs match nothing, as the
+/// distance test itself would reject every pair. Pairs are emitted in
+/// ascending left lane; the order within one left lane is deterministic.
+pub fn euclidean_grid_join(
+    lx: &[f64],
+    ly: &[f64],
+    rx: &[f64],
+    ry: &[f64],
+    d: f64,
+    mut emit: impl FnMut(usize, usize),
+) {
+    debug_assert_eq!(lx.len(), ly.len());
+    debug_assert_eq!(rx.len(), ry.len());
+    if lx.is_empty() || rx.is_empty() || d.is_nan() || d < 0.0 {
+        return;
+    }
+    assert!(rx.len() <= u32::MAX as usize, "right side too large for u32 lanes");
+    let (min_x, max_x) =
+        rx.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let (min_y, max_y) =
+        ry.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let (nx, ny) = grid_dims(max_x - min_x, max_y - min_y, d, rx.len());
+    let cols = GridAxis::new(min_x, max_x, nx);
+    let rows = GridAxis::new(min_y, max_y, ny);
+
+    // Counting sort by cell id. After the reverse scatter `start[c]` is
+    // where cell `c` begins (and `start[cells]` the end), and every cell
+    // keeps its points in ascending lane order.
+    let cells = nx * ny;
+    let cell: Vec<u32> =
+        rx.iter().zip(ry).map(|(&x, &y)| (rows.cell(y) * nx + cols.cell(x)) as u32).collect();
+    let mut start = vec![0u32; cells + 1];
+    for &c in &cell {
+        start[c as usize] += 1;
+    }
+    for c in 1..cells {
+        start[c] += start[c - 1];
+    }
+    start[cells] = rx.len() as u32;
+    let (mut sx, mut sy, mut lane) =
+        (vec![0.0; rx.len()], vec![0.0; rx.len()], vec![0u32; rx.len()]);
+    for j in (0..rx.len()).rev() {
+        let c = cell[j] as usize;
+        start[c] -= 1;
+        let slot = start[c] as usize;
+        (sx[slot], sy[slot], lane[slot]) = (rx[j], ry[j], j as u32);
+    }
+
+    let mut hits = vec![0u32; rx.len()];
+    for (i, (&x, &y)) in lx.iter().zip(ly).enumerate() {
+        let (x0, x1, y0, y1) = (x - d, x + d, y - d, y + d);
+        if x1 < min_x || x0 > max_x || y1 < min_y || y0 > max_y {
+            continue; // the box misses every right point
+        }
+        let (c0, c1) = (cols.cell(x0), cols.cell(x1));
+        for row in rows.cell(y0)..=rows.cell(y1) {
+            let run = start[row * nx + c0] as usize..start[row * nx + c1 + 1] as usize;
+            // branch-free test, compacting the hits of this run
+            let mut found = 0;
+            for k in run {
+                let (px, py) = (sx[k], sy[k]);
+                let (dx, dy) = (x - px, y - py);
+                let hit = (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1);
+                hits[found] = lane[k];
+                found += usize::from(hit & ((dx * dx + dy * dy).sqrt() <= d));
+            }
+            for &j in &hits[..found] {
+                emit(i, j as usize);
+            }
+        }
+    }
+}
+
+/// Cells per axis for [`euclidean_grid_join`]: as many cells of side
+/// `≥ d` as fit the extent, scaled down so the grid has at most two
+/// cells per right point when `d` is tiny or zero.
+fn grid_dims(w: f64, h: f64, d: f64, n: usize) -> (usize, usize) {
+    let limit = (2 * n.max(1)) as f64;
+    let per_axis = |extent: f64| {
+        if !extent.is_finite() || extent <= 0.0 {
+            1.0
+        } else if d > 0.0 {
+            (extent / d).floor().clamp(1.0, limit)
+        } else {
+            limit
+        }
+    };
+    let (mut fx, mut fy) = (per_axis(w), per_axis(h));
+    if fx * fy > limit {
+        let s = (limit / (fx * fy)).sqrt();
+        fx = (fx * s).floor().max(1.0);
+        fy = (fy * s).floor().max(1.0);
+    }
+    (fx as usize, fy as usize)
+}
+
+/// One axis of the join grid: a monotone map from a coordinate to one
+/// of `n` cells over `[min, max]`, clamping outside values to the ends.
+struct GridAxis {
+    min: f64,
+    inv: f64,
+    last: f64,
+}
+
+impl GridAxis {
+    fn new(min: f64, max: f64, n: usize) -> GridAxis {
+        // a subnormal extent can overflow the scale: one cell then
+        let inv = n as f64 / (max - min);
+        let inv = if n > 1 && inv.is_finite() { inv } else { 0.0 };
+        GridAxis { min, inv, last: (n - 1) as f64 }
+    }
+
+    /// Monotone non-decreasing in `v`: subtraction and scaling by a
+    /// finite positive factor preserve order, and so does truncation
+    /// of the clamped, non-negative result (no `floor` call needed).
+    #[inline]
+    fn cell(&self, v: f64) -> usize {
+        let t = (v - self.min) * self.inv;
+        if t >= self.last {
+            self.last as usize
+        } else if t > 0.0 {
+            t as usize
+        } else {
+            0 // also the one-cell case, where `inv` is 0
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,6 +532,82 @@ mod tests {
         assert!(s.get(0), "Berlin–Paris is ~880 km, within 1000 km");
         assert!(s.get(1), "zero distance survives");
         assert!(!s.get(2), "NaN centroid must fail the kernel, like the row path");
+    }
+
+    /// The tree probe's semantics, pair by pair: in the `d`-buffered box,
+    /// then `Coord::distance`.
+    fn brute_force(lx: &[f64], ly: &[f64], rx: &[f64], ry: &[f64], d: f64) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for i in 0..lx.len() {
+            let probe = Envelope::from_point(Coord::new(lx[i], ly[i])).buffered(d);
+            for j in 0..rx.len() {
+                let r = Coord::new(rx[j], ry[j]);
+                if Envelope::from_point(r).intersects(&probe)
+                    && Coord::new(lx[i], ly[i]).distance(&r) <= d
+                {
+                    out.push((i, j));
+                }
+            }
+        }
+        out
+    }
+
+    fn grid(lx: &[f64], ly: &[f64], rx: &[f64], ry: &[f64], d: f64) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        euclidean_grid_join(lx, ly, rx, ry, d, |i, j| out.push((i, j)));
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn grid_join_matches_buffered_probe_semantics() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |scale: f64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale
+        };
+        let lx: Vec<f64> = (0..300).map(|_| next(40.0)).collect();
+        let ly: Vec<f64> = (0..300).map(|_| next(40.0)).collect();
+        let rx: Vec<f64> = (0..250).map(|_| next(40.0) + 3.0).collect();
+        let ry: Vec<f64> = (0..250).map(|_| next(40.0)).collect();
+        for d in [0.0, 1e-9, 0.5, 2.0, 7.5, 100.0, f64::INFINITY] {
+            assert_eq!(grid(&lx, &ly, &rx, &ry, d), brute_force(&lx, &ly, &rx, &ry, d), "d = {d}");
+        }
+        // a lattice spaced exactly d: every neighbour sits on the cutoff
+        let lat: Vec<f64> = (0..20).map(|i| i as f64 * 0.25).collect();
+        let (xs, ys): (Vec<f64>, Vec<f64>) =
+            lat.iter().flat_map(|&x| lat.iter().map(move |&y| (x, y))).unzip();
+        assert_eq!(grid(&xs, &ys, &xs, &ys, 0.25), brute_force(&xs, &ys, &xs, &ys, 0.25));
+    }
+
+    #[test]
+    fn grid_join_degenerate_extents_and_cutoffs() {
+        // all right points coincide: a zero-width extent is one cell
+        let r = [1.0, 1.0, 1.0];
+        assert_eq!(grid(&[1.0, 2.0], &[1.0, 1.0], &r, &r, 0.0), vec![(0, 0), (0, 1), (0, 2)]);
+        // a subnormal extent must not overflow the cell scale
+        let tiny = [0.0, 5e-324];
+        assert_eq!(grid(&tiny, &tiny, &tiny, &tiny, 0.0), vec![(0, 0), (1, 1)]);
+        // huge coordinates whose box bounds overflow to infinity
+        let big = [f64::MAX, -f64::MAX];
+        assert_eq!(
+            grid(&big, &[0.0, 0.0], &big, &[0.0, 0.0], f64::MAX),
+            brute_force(&big, &[0.0, 0.0], &big, &[0.0, 0.0], f64::MAX)
+        );
+        // negative and NaN cutoffs match nothing; empty sides are fine
+        assert!(grid(&[0.0], &[0.0], &[0.0], &[0.0], -1.0).is_empty());
+        assert!(grid(&[0.0], &[0.0], &[0.0], &[0.0], f64::NAN).is_empty());
+        assert!(grid(&[], &[], &[0.0], &[0.0], 1.0).is_empty());
+    }
+
+    #[test]
+    fn grid_dims_stay_bounded_by_the_right_side() {
+        // tiny or zero cutoffs: at most two cells per right point
+        assert_eq!(grid_dims(1e6, 1e6, 1e-9, 100), (14, 14));
+        assert_eq!(grid_dims(10.0, 10.0, 0.0, 16), (5, 5));
+        assert_eq!(grid_dims(10.0, 10.0, 2.5, 1000), (4, 4));
+        assert_eq!(grid_dims(10.0, 0.0, 1.0, 1000), (10, 1));
+        assert_eq!(grid_dims(f64::INFINITY, 10.0, 1.0, 1000), (1, 10));
     }
 
     #[test]

@@ -208,7 +208,10 @@ proptest! {
         assert_retry_invariants(&ctx, &chaos, true);
     }
 
-    /// The partitioned spatial join returns the fault-free pair set.
+    /// The partitioned spatial join returns the fault-free pair set —
+    /// through the STR-tree (`intersects`) and the point grid kernel
+    /// (`withinDistance`), collected and counted (the count never builds
+    /// its pairs, but runs through the same retrying executor).
     #[test]
     fn spatial_join_is_fault_oblivious(
         fault_seed in any::<u64>(),
@@ -220,14 +223,19 @@ proptest! {
         let pair_ids = |ctx: &Context| {
             let part = grid_partitioned(ctx, dataset(250, data_seed), 5, 4);
             let right = ctx.parallelize(dataset(200, data_seed + 1), 4).spatial();
-            let mut ids: Vec<(u64, u64)> = part
-                .join(&right, STPredicate::Intersects, JoinConfig::live_index(4))
-                .collect()
-                .into_iter()
-                .map(|((_, (l, _)), (_, (r, _)))| (l, r))
-                .collect();
-            ids.sort_unstable();
-            ids
+            let mut out = Vec::new();
+            for pred in [STPredicate::Intersects, STPredicate::within_distance(4.0)] {
+                let joined = part.join(&right, pred, JoinConfig::live_index(4));
+                let mut ids: Vec<(u64, u64)> = joined
+                    .collect()
+                    .into_iter()
+                    .map(|((_, (l, _)), (_, (r, _)))| (l, r))
+                    .collect();
+                ids.sort_unstable();
+                assert_eq!(joined.count(), ids.len(), "{pred}: count vs collect");
+                out.push(ids);
+            }
+            out
         };
         let expect = pair_ids(&chaos_ctx(None));
         let (chaos, retries_expected) = drawn_injector(fault_seed, rate, policy_sel);
