@@ -154,14 +154,14 @@ mod tests {
                 epoch: 0,
             },
         };
-        let dir = std::env::temp_dir().join(format!("stark-dist-grid-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let shuffle = ShuffleEnv::new(&dir, FetchConfig::default(), None).unwrap();
+        let shuffle = ShuffleEnv::with_config(FetchConfig::default(), None);
         let env = ExecEnv { store: None, shuffle: Some(&shuffle) };
         let payload = encode_rows(&rows()).unwrap();
         let out = r.execute_env(&fragment, Some(&payload), &env).unwrap();
         let TaskOutput::BucketCounts(counts) = out.output else { panic!("{out:?}") };
         assert_eq!(counts.iter().sum::<u64>(), 4, "every row routed");
+        let addr = format!("127.0.0.1:{}", shuffle.serve().unwrap());
+        let client = ShuffleEnv::with_config(FetchConfig::default(), None);
         // each bucket holds exactly the rows the driver-side grid routes
         // there, in input order
         for (bucket, &count) in counts.iter().enumerate() {
@@ -170,7 +170,7 @@ mod tests {
             assert_eq!(count, expect.len() as u64, "bucket {bucket} count");
             if count > 0 {
                 let key = shuffle_bucket_key("sh/evt", 0, bucket);
-                let bytes = shuffle.store().get_bytes(&key).unwrap();
+                let bytes = client.fetch(&addr, &key, 0).unwrap();
                 assert_eq!(decode_rows::<EventRow>(&bytes).unwrap(), expect, "bucket {bucket}");
             }
         }

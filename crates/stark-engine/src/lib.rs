@@ -43,8 +43,9 @@
 //!   survivors and respawns seats with jittered backoff, while
 //!   [`TransportChaos`] injects deterministic transport faults for
 //!   crash-recovery tests;
-//! * fault-tolerant remote shuffle: each worker serves its map outputs
-//!   over a per-worker [`shuffle`] port (CRC-checked transfers with
+//! * fault-tolerant remote shuffle: each worker keeps its map outputs in
+//!   memory and serves them over a per-worker [`shuffle`] port to
+//!   pooled peer connections (CRC-checked transfers with
 //!   bounded timeouts, capped jittered retries and partial-fetch
 //!   resume); the driver keeps a map-output registry and, when a
 //!   producer dies mid-shuffle, regenerates the lost outputs via

@@ -99,10 +99,10 @@ pub enum PlanSink {
     /// recover from blobs written by workers.
     Checkpoint { key: String, partition: usize },
     /// Shuffle write: route each row through the named partitioner and
-    /// write every non-empty bucket to the executing worker's *local*
-    /// shuffle store under [`shuffle_bucket_key`]`(prefix, task,
-    /// bucket)`, registered under `epoch` and served to reducers over
-    /// the worker's shuffle port. Ships per-bucket row counts back, from
+    /// keep every non-empty bucket in the executing worker's memory
+    /// under [`shuffle_bucket_key`]`(prefix, task, bucket)`, registered
+    /// under `epoch` and served to reducers over the worker's shuffle
+    /// port. Ships per-bucket row counts back, from
     /// which the driver derives the reduce stage's fetch lists.
     ShuffleWriteLocal {
         partitioner: String,
@@ -150,7 +150,7 @@ pub struct TaskResult {
     pub payload: Option<Vec<u8>>,
 }
 
-/// Worker-local store key of one distributed shuffle bucket blob
+/// Key of one distributed shuffle bucket on the worker that produced it
 /// (mirrors the in-process shuffle's spill layout).
 pub fn shuffle_bucket_key(prefix: &str, task: usize, bucket: usize) -> String {
     format!("{prefix}/task-{task:05}/bucket-{bucket:05}")
@@ -698,11 +698,8 @@ mod tests {
         PlanFragment { schema: "i64".into(), input, ops, sink }
     }
 
-    fn shuffle_env(tag: &str) -> Arc<ShuffleEnv> {
-        let dir =
-            std::env::temp_dir().join(format!("stark-plan-shuffle-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ShuffleEnv::new(dir, crate::shuffle::FetchConfig::default(), None).unwrap()
+    fn shuffle_env() -> Arc<ShuffleEnv> {
+        ShuffleEnv::with_config(crate::shuffle::FetchConfig::default(), None)
     }
 
     fn write_local(task: usize, parts: usize) -> PlanSink {
@@ -780,7 +777,7 @@ mod tests {
     #[test]
     fn shuffle_write_then_fetch_read() {
         let r = int_registry();
-        let server = shuffle_env("server");
+        let server = shuffle_env();
         let map_env = ExecEnv { store: None, shuffle: Some(&server) };
         // two map tasks, so the reduce side concatenates in task order
         for (task, rows) in [(0, vec![9i64, 0, 4]), (1, vec![3, 6, 7])] {
@@ -805,7 +802,7 @@ mod tests {
             })
             .collect();
         let read = frag(PlanInput::Fetch { sources }, vec![], PlanSink::Collect);
-        let client = shuffle_env("client");
+        let client = shuffle_env();
         let result =
             r.execute_env(&read, None, &ExecEnv { store: None, shuffle: Some(&client) }).unwrap();
         let rows: Vec<i64> = decode_rows(result.payload.as_deref().unwrap()).unwrap();

@@ -1,11 +1,12 @@
 //! Peer-to-peer remote shuffle: per-worker bucket serving and fetching.
 //!
 //! Under [`ShuffleMode::Remote`](crate::supervisor::ShuffleMode) each
-//! worker keeps its map outputs in a private local [`ObjectStore`] and
-//! serves them over its own **shuffle port**. Reducers fetch buckets
-//! directly from the producing worker instead of reading a shared
-//! directory — the layout a real cluster needs, where no common
-//! filesystem exists.
+//! worker keeps its map outputs in memory and serves them over its own
+//! **shuffle port**. Reducers fetch buckets directly from the producing
+//! worker instead of reading a shared directory — the layout a real
+//! cluster needs, where no common filesystem exists. A stage's buckets
+//! live until the driver releases them (`WorkerPool::run_shuffle` does
+//! so when the stage ends) or the worker exits.
 //!
 //! The fetch protocol is one STK1-framed request/response pair followed
 //! by a *raw* byte stream:
@@ -17,12 +18,17 @@
 //! server → client   raw bytes payload[offset..]    (only after Bucket)
 //! ```
 //!
+//! A connection carries any number of such exchanges: the client keeps
+//! one idle connection per peer and reuses it for the next bucket, and
+//! the server hangs up on a peer that stays silent for `read_timeout`.
+//!
 //! The payload intentionally travels *unframed*: a torn transfer leaves
 //! the client holding a usable prefix, and the next attempt resumes from
 //! `offset = bytes held` instead of refetching everything. Integrity
-//! comes from the whole-payload CRC32 announced in the response header,
-//! verified once the assembled buffer is complete — a flipped byte
-//! discards the buffer and restarts from offset 0.
+//! comes from the whole-payload CRC32 announced in the response header
+//! (computed once, when the bucket is put), verified once the assembled
+//! buffer is complete — a flipped byte discards the buffer and restarts
+//! from offset 0.
 //!
 //! Every bucket carries a **shuffle epoch**. Map outputs regenerated
 //! after a worker loss register at a bumped epoch, and the server rejects
@@ -37,28 +43,29 @@
 //! (see `WorkerPool::run_shuffle`).
 
 use crate::fault::{splitmix64, FetchChaosState, FetchPolicy};
-use crate::storage::{crc32, ObjectStore, StorageError, MAX_BLOB_LEN};
+use crate::storage::{crc32, StorageError, MAX_BLOB_LEN};
 use crate::transport::{recv_msg, send_msg};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Wire types
 // ---------------------------------------------------------------------------
 
-/// One bucket a reduce task must fetch: where it lives, its store key,
-/// and the shuffle epoch it was registered under.
+/// One bucket a reduce task must fetch: where it lives, its key, and the
+/// shuffle epoch it was registered under.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 pub struct FetchSource {
     /// Shuffle address of the producing worker (`host:port`).
     pub addr: String,
-    /// Bucket key in the producer's local store.
+    /// Bucket key on the producer.
     pub key: String,
     /// Epoch the driver's registry holds for this output.
     pub epoch: u64,
@@ -118,7 +125,8 @@ pub struct FetchConfig {
     /// Bound on establishing a connection to a peer.
     pub connect_timeout: Duration,
     /// Bound on every blocking read (both sides): a hung peer surfaces
-    /// as a timeout error, never a wedged thread.
+    /// as a timeout error, never a wedged thread. The server also hangs
+    /// up on a connection idle for this long.
     pub read_timeout: Duration,
     /// Re-attempts after the first failed fetch of a bucket.
     pub max_retries: u32,
@@ -145,18 +153,21 @@ impl Default for FetchConfig {
 // Shuffle environment
 // ---------------------------------------------------------------------------
 
-/// A worker's shuffle half: the local bucket store it serves from, the
-/// epoch registry guarding those buckets, and the fetch client reducers
-/// on this worker use to pull peers' buckets.
+/// A worker's shuffle half: the in-memory buckets it serves, each
+/// registered under an epoch, and the fetch client reducers on this
+/// worker use to pull peers' buckets.
 ///
-/// Shared (`Arc`) between the executing thread, the accept loop and the
-/// per-connection handlers. The accept loop holds only a [`Weak`]
-/// reference, so dropping every strong handle stops the server and
-/// removes the backing directory.
+/// Shared (`Arc`) between the executing thread and the bucket server.
+/// The server's threads hold only [`Weak`] references, so dropping every
+/// strong handle stops the server, closes its port and frees the
+/// buckets.
 pub struct ShuffleEnv {
-    store: ObjectStore,
-    /// Registered epoch per bucket key; requests must match exactly.
-    epochs: Mutex<HashMap<String, u64>>,
+    /// Served buckets by key.
+    buckets: Mutex<HashMap<String, Bucket>>,
+    /// One idle connection per peer address, reused by the next fetch.
+    conns: Mutex<HashMap<String, Conn>>,
+    /// Accept threads started by [`Self::serve`], with their ports.
+    acceptors: Mutex<Vec<(u16, JoinHandle<()>)>>,
     cfg: FetchConfig,
     chaos: Option<FetchChaosState>,
     fetch_retries: AtomicU64,
@@ -164,40 +175,70 @@ pub struct ShuffleEnv {
     rng: AtomicU64,
 }
 
+/// A served map-output bucket; requests must match `epoch` exactly.
+#[derive(Clone)]
+struct Bucket {
+    epoch: u64,
+    /// CRC32 of `data`, taken once at put.
+    crc: u32,
+    data: Arc<[u8]>,
+}
+
+/// A fetch client's connection to one peer.
+struct Conn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
 impl ShuffleEnv {
-    /// Creates the bucket store at `root` (private to this worker).
-    pub fn new(
-        root: impl AsRef<Path>,
-        cfg: FetchConfig,
-        chaos: Option<FetchChaosState>,
-    ) -> Result<Arc<ShuffleEnv>, StorageError> {
-        let store = ObjectStore::open(root)?;
-        Ok(Arc::new(ShuffleEnv {
-            store,
-            epochs: Mutex::new(HashMap::new()),
+    /// Creates an empty shuffle environment.
+    pub fn with_config(cfg: FetchConfig, chaos: Option<FetchChaosState>) -> Arc<ShuffleEnv> {
+        Arc::new(ShuffleEnv {
+            buckets: Mutex::new(HashMap::new()),
+            conns: Mutex::new(HashMap::new()),
+            acceptors: Mutex::new(Vec::new()),
             rng: AtomicU64::new(splitmix64(cfg.seed ^ 0x5A17_F00D)),
             cfg,
             chaos,
             fetch_retries: AtomicU64::new(0),
             bytes_fetched: AtomicU64::new(0),
-        }))
+        })
     }
 
-    /// The local bucket store.
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
+    /// Same as [`Self::with_config`]. `root` is unused — buckets live in
+    /// memory — and the call never fails; the signature is kept only for
+    /// the benchmark's layer adapter (`bench/src/layers.rs`), which calls
+    /// it.
+    pub fn new(
+        _root: impl AsRef<Path>,
+        cfg: FetchConfig,
+        chaos: Option<FetchChaosState>,
+    ) -> Result<Arc<ShuffleEnv>, StorageError> {
+        Ok(Self::with_config(cfg, chaos))
     }
 
-    /// Writes a map-output bucket and registers it under `epoch`.
+    /// Stores a map-output bucket and registers it under `epoch`,
+    /// replacing any bucket under the same key.
     pub fn put_bucket(&self, key: &str, epoch: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.store.put_bytes(key, data)?;
-        self.epochs.lock().unwrap().insert(key.to_string(), epoch);
+        if data.len() > MAX_BLOB_LEN {
+            return Err(StorageError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("bucket {key:?}: payload {} exceeds blob cap {MAX_BLOB_LEN}", data.len()),
+            )));
+        }
+        let bucket = Bucket { epoch, crc: crc32(data), data: Arc::from(data) };
+        self.buckets.lock().unwrap().insert(key.to_string(), bucket);
         Ok(())
     }
 
-    /// The epoch a bucket is currently registered under, if any.
-    pub fn registered_epoch(&self, key: &str) -> Option<u64> {
-        self.epochs.lock().unwrap().get(key).copied()
+    /// Drops every bucket whose key lies under `{prefix}/`; returns how
+    /// many were dropped.
+    pub fn release(&self, prefix: &str) -> usize {
+        let mut buckets = self.buckets.lock().unwrap();
+        let before = buckets.len();
+        buckets
+            .retain(|key, _| !key.strip_prefix(prefix).is_some_and(|rest| rest.starts_with('/')));
+        before - buckets.len()
     }
 
     /// Swaps out and returns the per-task fetch counters
@@ -209,97 +250,83 @@ impl ShuffleEnv {
         )
     }
 
-    /// Binds the shuffle port and starts the accept loop. Returns the
-    /// bound port. The loop exits once every strong `Arc` is dropped.
+    /// Binds the shuffle port and starts a blocking accept thread, one
+    /// handler thread per connection. Returns the bound port. Dropping
+    /// the last strong `Arc` wakes the accept thread, which then exits
+    /// and closes the port.
     pub fn serve(self: &Arc<Self>) -> io::Result<u16> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
         let port = listener.local_addr()?.port();
         let weak: Weak<ShuffleEnv> = Arc::downgrade(self);
-        std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let Some(env) = weak.upgrade() else { return };
-                    std::thread::spawn(move || {
-                        let _ = env.handle_conn(stream);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+        let timeout = self.cfg.read_timeout;
+        let acceptor =
+            std::thread::Builder::new().name(format!("shuffle-{port}")).spawn(move || {
+                for stream in listener.incoming() {
+                    // the env is gone: this was `Drop`'s wake-up call
                     if weak.strong_count() == 0 {
                         return;
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    let Ok(stream) = stream else { return };
+                    let weak = weak.clone();
+                    // named, or it would inherit this thread's name
+                    let _ =
+                        std::thread::Builder::new().name("shuffle-conn".into()).spawn(move || {
+                            let _ = serve_conn(&weak, stream, timeout);
+                        });
                 }
-                Err(_) => return,
-            }
-        });
+            })?;
+        self.acceptors.lock().unwrap().push((port, acceptor));
         Ok(port)
     }
 
-    /// Serves fetch requests on one connection until the peer hangs up.
-    fn handle_conn(self: &Arc<Self>, stream: TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.cfg.read_timeout)).ok();
-        stream.set_write_timeout(Some(self.cfg.read_timeout)).ok();
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        loop {
-            let Some(FetchReq::Bucket { key, epoch, offset }) = recv_msg(&mut reader)? else {
-                return Ok(()); // clean hangup
-            };
-            match self.registered_epoch(&key) {
-                None => {
-                    send_msg(&mut writer, &FetchRsp::NotFound)?;
-                    continue;
-                }
-                Some(have) if have != epoch => {
-                    send_msg(&mut writer, &FetchRsp::StaleEpoch { have })?;
-                    continue;
-                }
-                Some(_) => {}
+    /// Answers one fetch request. `Ok(false)` means hang up (the chaos
+    /// policy tore the transfer).
+    fn answer(&self, w: &mut TcpStream, key: &str, epoch: u64, offset: u64) -> io::Result<bool> {
+        let found = self.buckets.lock().unwrap().get(key).cloned();
+        let bucket = match found {
+            None => return send_msg(w, &FetchRsp::NotFound).map(|()| true),
+            Some(b) if b.epoch != epoch => {
+                return send_msg(w, &FetchRsp::StaleEpoch { have: b.epoch }).map(|()| true)
             }
-            let policy = self.chaos.as_ref().and_then(|c| c.draw(&key, epoch));
-            match policy {
-                Some(FetchPolicy::KillServingWorker) => {
-                    // fail-stop: the worker (and all its map outputs)
-                    // vanishes mid-shuffle
-                    std::process::exit(1);
-                }
-                Some(FetchPolicy::RefuseFetch) => {
-                    send_msg(&mut writer, &FetchRsp::Refused)?;
-                    continue;
-                }
-                Some(FetchPolicy::DelayFetch(d)) => std::thread::sleep(d),
-                _ => {}
+            Some(b) => b,
+        };
+        let policy = self.chaos.as_ref().and_then(|c| c.draw(key, epoch));
+        match policy {
+            Some(FetchPolicy::KillServingWorker) => {
+                // fail-stop: the worker (and all its map outputs)
+                // vanishes mid-shuffle
+                std::process::exit(1);
             }
-            let Ok(data) = self.store.get_bytes(&key) else {
-                send_msg(&mut writer, &FetchRsp::NotFound)?;
-                continue;
-            };
-            let off = (offset as usize).min(data.len());
-            send_msg(&mut writer, &FetchRsp::Bucket { len: data.len() as u64, crc: crc32(&data) })?;
-            match policy {
-                Some(FetchPolicy::DropBucket) => {
-                    // torn transfer: half the remaining bytes, then hang
-                    // up — the client resumes from its new offset
-                    let part = &data[off..off + (data.len() - off) / 2];
-                    writer.write_all(part)?;
-                    return Ok(());
-                }
-                Some(FetchPolicy::CorruptBucket) => {
-                    // full-length transfer, one byte flipped after the
-                    // CRC was announced — the client must reject it
-                    let mut sent = data[off..].to_vec();
-                    if !sent.is_empty() {
-                        let mid = sent.len() / 2;
-                        sent[mid] ^= 0x40;
-                    }
-                    writer.write_all(&sent)?;
-                }
-                _ => writer.write_all(&data[off..])?,
+            Some(FetchPolicy::RefuseFetch) => {
+                return send_msg(w, &FetchRsp::Refused).map(|()| true)
             }
-            writer.flush()?;
+            Some(FetchPolicy::DelayFetch(d)) => std::thread::sleep(d),
+            _ => {}
         }
+        let data = &bucket.data[..];
+        let off = (offset as usize).min(data.len());
+        send_msg(w, &FetchRsp::Bucket { len: data.len() as u64, crc: bucket.crc })?;
+        match policy {
+            Some(FetchPolicy::DropBucket) => {
+                // torn transfer: half the remaining bytes, then hang up —
+                // the client resumes from its new offset
+                w.write_all(&data[off..off + (data.len() - off) / 2])?;
+                return Ok(false);
+            }
+            Some(FetchPolicy::CorruptBucket) => {
+                // full-length transfer, one byte flipped after the CRC
+                // was announced — the client must reject it
+                let mut sent = data[off..].to_vec();
+                if !sent.is_empty() {
+                    let mid = sent.len() / 2;
+                    sent[mid] ^= 0x40;
+                }
+                w.write_all(&sent)?;
+            }
+            _ => w.write_all(&data[off..])?,
+        }
+        w.flush()?;
+        Ok(true)
     }
 
     /// Fetches one bucket from a peer, with bounded timeouts, capped
@@ -342,7 +369,9 @@ impl ShuffleEnv {
     }
 
     /// One fetch attempt. Received bytes accumulate into `buf` (the
-    /// resume state); a checksum mismatch clears it.
+    /// resume state); a checksum mismatch clears it. The peer's pooled
+    /// connection is used if there is one, and pooled again only after a
+    /// clean transfer — any error drops it.
     fn try_fetch(
         &self,
         addr: &str,
@@ -351,25 +380,25 @@ impl ShuffleEnv {
         buf: &mut Vec<u8>,
     ) -> Result<(), AttemptError> {
         let io_err = |e: io::Error| AttemptError::Transient(e.to_string());
-        let sock = addr
-            .to_socket_addrs()
-            .map_err(io_err)?
-            .next()
-            .ok_or_else(|| AttemptError::Transient(format!("unresolvable address {addr:?}")))?;
-        let stream = TcpStream::connect_timeout(&sock, self.cfg.connect_timeout).map_err(io_err)?;
-        stream.set_read_timeout(Some(self.cfg.read_timeout)).map_err(io_err)?;
-        stream.set_write_timeout(Some(self.cfg.read_timeout)).map_err(io_err)?;
-        stream.set_nodelay(true).ok();
-        let mut writer = stream.try_clone().map_err(io_err)?;
-        send_msg(
-            &mut writer,
-            &FetchReq::Bucket { key: key.to_string(), epoch, offset: buf.len() as u64 },
-        )
-        .map_err(io_err)?;
-        let mut reader = BufReader::new(stream);
-        let rsp: FetchRsp = recv_msg(&mut reader)
-            .map_err(io_err)?
-            .ok_or_else(|| AttemptError::Transient("server hung up before responding".into()))?;
+        let req = FetchReq::Bucket { key: key.to_string(), epoch, offset: buf.len() as u64 };
+        let pooled = self.conns.lock().unwrap().remove(addr);
+        let mut reused = None;
+        if let Some(mut conn) = pooled {
+            // `None`: the server had already closed this connection (it
+            // hangs up on idle peers) and never saw the request, so it is
+            // re-sent once on a fresh connection and costs no retry
+            reused = conn.request(&req).map_err(io_err)?.map(|rsp| (conn, rsp));
+        }
+        let (mut conn, rsp) = match reused {
+            Some(exchange) => exchange,
+            None => {
+                let mut conn = self.connect(addr)?;
+                let rsp = conn.request(&req).map_err(io_err)?.ok_or_else(|| {
+                    AttemptError::Transient("server hung up before responding".into())
+                })?;
+                (conn, rsp)
+            }
+        };
         let (len, crc) = match rsp {
             FetchRsp::Refused => return Err(AttemptError::Transient("fetch refused".into())),
             FetchRsp::NotFound => {
@@ -384,25 +413,38 @@ impl ShuffleEnv {
             )));
         }
         if buf.len() > len {
-            buf.clear(); // the server's view shrank; resume state is junk
+            // the server's view shrank; the resume state is junk
+            buf.clear();
+            return Err(AttemptError::Transient("resume offset past the bucket's end".into()));
         }
-        let mut chunk = [0u8; 16 * 1024];
-        while buf.len() < len {
-            let n = reader.read(&mut chunk).map_err(io_err)?;
-            if n == 0 {
-                return Err(AttemptError::Transient(format!(
-                    "connection closed mid-transfer at {}/{len} bytes",
-                    buf.len()
-                )));
-            }
-            let take = n.min(len - buf.len());
-            buf.extend_from_slice(&chunk[..take]);
+        let want = (len - buf.len()) as u64;
+        let got = (&mut conn.reader).take(want).read_to_end(buf).map_err(io_err)?;
+        if (got as u64) < want {
+            return Err(AttemptError::Transient(format!(
+                "connection closed mid-transfer at {}/{len} bytes",
+                buf.len()
+            )));
         }
         if crc32(buf) != crc {
             buf.clear();
             return Err(AttemptError::Transient("bucket checksum mismatch".into()));
         }
+        self.conns.lock().unwrap().insert(addr.to_string(), conn);
         Ok(())
+    }
+
+    fn connect(&self, addr: &str) -> Result<Conn, AttemptError> {
+        let io_err = |e: io::Error| AttemptError::Transient(e.to_string());
+        let sock = addr
+            .to_socket_addrs()
+            .map_err(io_err)?
+            .next()
+            .ok_or_else(|| AttemptError::Transient(format!("unresolvable address {addr:?}")))?;
+        let stream = TcpStream::connect_timeout(&sock, self.cfg.connect_timeout).map_err(io_err)?;
+        stream.set_read_timeout(Some(self.cfg.read_timeout)).map_err(io_err)?;
+        stream.set_write_timeout(Some(self.cfg.read_timeout)).map_err(io_err)?;
+        stream.set_nodelay(true).ok();
+        Ok(Conn { writer: stream.try_clone().map_err(io_err)?, reader: BufReader::new(stream) })
     }
 
     fn jittered_backoff(&self, exp: u32) -> Duration {
@@ -415,8 +457,65 @@ impl ShuffleEnv {
 
 impl Drop for ShuffleEnv {
     fn drop(&mut self) {
-        // the bucket store is private to this worker's lifetime
-        let _ = std::fs::remove_dir_all(self.store.root());
+        // Wake each accept thread blocked in `accept` by dialing its
+        // port; it finds the env gone, exits and closes the listener.
+        let acceptors = self.acceptors.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for (port, acceptor) in acceptors.drain(..) {
+            let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
+            if TcpStream::connect_timeout(&addr, self.cfg.connect_timeout).is_ok() {
+                let _ = acceptor.join();
+            }
+        }
+    }
+}
+
+/// Serves fetch requests on one connection until the peer hangs up, goes
+/// idle past `timeout`, or the env is dropped. Holds the env only while
+/// answering, so an idle peer cannot keep it alive.
+fn serve_conn(env: &Weak<ShuffleEnv>, stream: TcpStream, timeout: Duration) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(timeout)).ok();
+    stream.set_write_timeout(Some(timeout)).ok();
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    while let Some(FetchReq::Bucket { key, epoch, offset }) = recv_msg(&mut reader)? {
+        let Some(env) = env.upgrade() else { return Ok(()) };
+        if !env.answer(&mut writer, &key, epoch, offset)? {
+            return Ok(());
+        }
+    }
+    Ok(()) // clean hangup
+}
+
+impl Conn {
+    /// Sends one request and reads the response header. `Ok(None)` means
+    /// the peer had closed the connection: it hung up (EOF or reset)
+    /// before sending a single response byte.
+    fn request(&mut self, req: &FetchReq) -> io::Result<Option<FetchRsp>> {
+        let hung_up = |e: &io::Error| {
+            matches!(
+                e.kind(),
+                io::ErrorKind::BrokenPipe
+                    | io::ErrorKind::ConnectionReset
+                    | io::ErrorKind::ConnectionAborted
+            )
+        };
+        match send_msg(&mut self.writer, req) {
+            Err(e) if hung_up(&e) => return Ok(None),
+            sent => sent?,
+        }
+        let answered = match self.reader.fill_buf() {
+            Ok(bytes) => !bytes.is_empty(),
+            Err(e) if hung_up(&e) => false,
+            Err(e) => return Err(e),
+        };
+        if !answered {
+            return Ok(None);
+        }
+        let rsp = recv_msg(&mut self.reader)?;
+        rsp.map(Some).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server hung up mid-response")
+        })
     }
 }
 
@@ -431,19 +530,20 @@ enum AttemptError {
 mod tests {
     use super::*;
     use crate::fault::FetchChaos;
+    use std::time::Instant;
 
-    fn env_with(tag: &str, chaos: Option<FetchChaosState>) -> Arc<ShuffleEnv> {
-        let root =
-            std::env::temp_dir().join(format!("stark-shuffle-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cfg = FetchConfig {
+    fn test_cfg() -> FetchConfig {
+        FetchConfig {
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_millis(1000),
             max_retries: 4,
             backoff_base: Duration::from_millis(2),
             seed: 7,
-        };
-        ShuffleEnv::new(root, cfg, chaos).unwrap()
+        }
+    }
+
+    fn env_with(chaos: Option<FetchChaosState>) -> Arc<ShuffleEnv> {
+        ShuffleEnv::with_config(test_cfg(), chaos)
     }
 
     fn addr(port: u16) -> String {
@@ -452,12 +552,12 @@ mod tests {
 
     #[test]
     fn put_serve_fetch_roundtrip() {
-        let server = env_with("roundtrip", None);
+        let server = env_with(None);
         let data: Vec<u8> = (0..10_000u32).flat_map(|x| x.to_le_bytes()).collect();
         server.put_bucket("sh/task-00000/bucket-00001", 0, &data).unwrap();
         let port = server.serve().unwrap();
 
-        let client = env_with("roundtrip-client", None);
+        let client = env_with(None);
         let got = client.fetch(&addr(port), "sh/task-00000/bucket-00001", 0).unwrap();
         assert_eq!(got, data);
         let (retries, bytes) = client.take_counters();
@@ -466,12 +566,44 @@ mod tests {
     }
 
     #[test]
+    fn one_pooled_connection_serves_consecutive_fetches() {
+        let server = env_with(None);
+        for b in 0..8 {
+            server.put_bucket(&format!("sh/task-00000/bucket-{b:05}"), 0, &[b as u8; 300]).unwrap();
+        }
+        let port = server.serve().unwrap();
+        let client = env_with(None);
+        for b in 0..8 {
+            let got = client.fetch(&addr(port), &format!("sh/task-00000/bucket-{b:05}"), 0);
+            assert_eq!(got.unwrap(), vec![b as u8; 300]);
+            assert_eq!(client.conns.lock().unwrap().len(), 1, "one connection per peer");
+        }
+        assert_eq!(client.take_counters().0, 0);
+    }
+
+    #[test]
+    fn a_connection_the_server_closed_while_idle_is_replaced_without_a_retry() {
+        let cfg = FetchConfig { read_timeout: Duration::from_millis(100), ..test_cfg() };
+        let server = ShuffleEnv::with_config(cfg.clone(), None);
+        server.put_bucket("sh/task-00000/bucket-00000", 0, b"first").unwrap();
+        server.put_bucket("sh/task-00001/bucket-00000", 0, b"second").unwrap();
+        let port = server.serve().unwrap();
+
+        let client = ShuffleEnv::with_config(cfg, None);
+        assert_eq!(client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap(), b"first");
+        // the server hangs up on the pooled connection after 100 ms idle
+        std::thread::sleep(Duration::from_millis(400));
+        assert_eq!(client.fetch(&addr(port), "sh/task-00001/bucket-00000", 0).unwrap(), b"second");
+        assert_eq!(client.take_counters().0, 0, "replacing a closed connection is not a retry");
+    }
+
+    #[test]
     fn stale_epoch_is_rejected_without_burning_retries() {
-        let server = env_with("stale", None);
+        let server = env_with(None);
         server.put_bucket("sh/task-00000/bucket-00000", 1, b"fresh").unwrap();
         let port = server.serve().unwrap();
 
-        let client = env_with("stale-client", None);
+        let client = env_with(None);
         let err = client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap_err();
         assert!(err.stale, "an epoch mismatch is a stale fetch: {err}");
         assert!(err.reason.contains("server has 1"), "{err}");
@@ -482,9 +614,9 @@ mod tests {
 
     #[test]
     fn missing_bucket_exhausts_the_budget() {
-        let server = env_with("missing", None);
+        let server = env_with(None);
         let port = server.serve().unwrap();
-        let client = env_with("missing-client", None);
+        let client = env_with(None);
         let err = client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap_err();
         assert!(!err.stale);
         assert!(err.reason.contains("attempts exhausted"), "{err}");
@@ -492,15 +624,70 @@ mod tests {
     }
 
     #[test]
+    fn released_buckets_are_not_found() {
+        let server = env_with(None);
+        for key in ["sh/a/task-00000/bucket-00000", "sh/a/task-00001/bucket-00002", "sh/ab/x"] {
+            server.put_bucket(key, 0, b"rows").unwrap();
+        }
+        let port = server.serve().unwrap();
+        assert_eq!(server.release("sh/a"), 2, "only keys under `sh/a/` go");
+        let client = ShuffleEnv::with_config(FetchConfig { max_retries: 0, ..test_cfg() }, None);
+        let err = client.fetch(&addr(port), "sh/a/task-00000/bucket-00000", 0).unwrap_err();
+        assert!(err.reason.contains("not registered"), "{err}");
+        assert_eq!(client.fetch(&addr(port), "sh/ab/x", 0).unwrap(), b"rows");
+    }
+
+    #[test]
+    fn buckets_above_the_blob_cap_are_rejected() {
+        let env = env_with(None);
+        // zeroed pages are never touched: the length check comes first
+        let huge = vec![0u8; MAX_BLOB_LEN + 1];
+        match env.put_bucket("sh/task-00000/bucket-00000", 0, &huge) {
+            Err(StorageError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
+            other => panic!("expected an InvalidInput error, got {other:?}"),
+        }
+        assert!(env.buckets.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn dropping_the_env_closes_its_port_and_ends_its_accept_thread() {
+        let server = env_with(None);
+        server.put_bucket("sh/task-00000/bucket-00000", 0, b"rows").unwrap();
+        let port = server.serve().unwrap();
+        // an idle pooled peer connection must not keep the env alive
+        let client = env_with(None);
+        client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap();
+        let accept_thread_alive = || {
+            std::fs::read_dir("/proc/self/task").into_iter().flatten().flatten().any(|t| {
+                std::fs::read_to_string(t.path().join("comm"))
+                    .is_ok_and(|comm| comm.trim() == format!("shuffle-{port}"))
+            })
+        };
+        if std::path::Path::new("/proc/self/task").is_dir() {
+            assert!(accept_thread_alive(), "serve names its accept thread");
+        }
+        drop(server);
+
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let target = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
+        while TcpStream::connect_timeout(&target, Duration::from_millis(100)).is_ok() {
+            assert!(Instant::now() < deadline, "port {port} still accepts after the drop");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(!accept_thread_alive(), "the accept thread outlived its env");
+        assert!(client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).is_err());
+    }
+
+    #[test]
     fn torn_transfers_resume_from_the_received_offset() {
         let chaos =
             FetchChaosState::new(FetchChaos::once(FetchPolicy::DropBucket).with_max_strikes(2));
-        let server = env_with("torn", Some(chaos));
+        let server = env_with(Some(chaos));
         let data: Vec<u8> = (0..50_000u32).map(|x| x as u8).collect();
         server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
         let port = server.serve().unwrap();
 
-        let client = env_with("torn-client", None);
+        let client = env_with(None);
         let got = client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap();
         assert_eq!(got, data, "resumed assembly must be byte-identical");
         assert_eq!(client.take_counters().0, 2, "each torn transfer costs one retry");
@@ -509,12 +696,12 @@ mod tests {
     #[test]
     fn corrupt_transfers_are_rejected_and_refetched() {
         let chaos = FetchChaosState::new(FetchChaos::once(FetchPolicy::CorruptBucket));
-        let server = env_with("corrupt", Some(chaos));
+        let server = env_with(Some(chaos));
         let data = vec![0x5Au8; 9000];
         server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
         let port = server.serve().unwrap();
 
-        let client = env_with("corrupt-client", None);
+        let client = env_with(None);
         let got = client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap();
         assert_eq!(got, data);
         assert_eq!(client.take_counters().0, 1);
@@ -524,11 +711,11 @@ mod tests {
     fn refused_fetches_retry_until_the_policy_exhausts() {
         let chaos =
             FetchChaosState::new(FetchChaos::once(FetchPolicy::RefuseFetch).with_max_strikes(3));
-        let server = env_with("refused", Some(chaos));
+        let server = env_with(Some(chaos));
         server.put_bucket("sh/task-00000/bucket-00000", 0, b"payload").unwrap();
         let port = server.serve().unwrap();
 
-        let client = env_with("refused-client", None);
+        let client = env_with(None);
         let got = client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap();
         assert_eq!(got, b"payload");
         assert_eq!(client.take_counters().0, 3);
@@ -536,7 +723,7 @@ mod tests {
 
     #[test]
     fn unreachable_peer_fails_with_bounded_attempts() {
-        let client = env_with("unreachable", None);
+        let client = env_with(None);
         // a port nothing listens on: every connect is refused promptly
         let err = client.fetch("127.0.0.1:1", "sh/task-00000/bucket-00000", 0).unwrap_err();
         assert!(!err.stale);

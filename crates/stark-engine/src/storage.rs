@@ -253,9 +253,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Removes sibling directories under `base` named `{prefix}{pid}-{seq}`
-/// whose owning process is dead — the blob dirs (spill stores, worker
-/// shuffle stores) a crashed prior run left behind. Returns how many
-/// directories were removed.
+/// whose owning process is dead — the spill stores a crashed prior run
+/// left behind. Returns how many directories were removed.
 ///
 /// Liveness is decided by `/proc/<pid>` existence; on platforms without
 /// `/proc`, every foreign pid is assumed live and nothing is removed

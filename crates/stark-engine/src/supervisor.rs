@@ -257,7 +257,7 @@ impl DistTask {
 /// How a shuffle stage moves buckets from map tasks to reduce tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShuffleMode {
-    /// Map tasks keep buckets in their own local store and serve them
+    /// Map tasks keep buckets in their own worker's memory and serve them
     /// over a per-worker shuffle port; reduce tasks fetch peer-to-peer.
     /// Lost outputs are re-produced via lineage at a bumped epoch.
     Remote,
@@ -605,7 +605,20 @@ impl WorkerPool {
     /// Map outputs lost to a worker death (or served corrupt) are
     /// re-produced via lineage at a bumped epoch, up to
     /// [`WorkerPoolConfig::max_shuffle_regens`] rounds.
+    ///
+    /// However it returns, the stage's buckets are then released on
+    /// every live worker (see [`DriverMsg::ReleaseShuffle`]).
     pub fn run_shuffle(
+        &mut self,
+        map_tasks: &[DistTask],
+        spec: &ShuffleSpec,
+    ) -> Result<Vec<TaskResult>, PoolError> {
+        let result = self.run_shuffle_stage(map_tasks, spec);
+        self.release_shuffle(&spec.prefix);
+        result
+    }
+
+    fn run_shuffle_stage(
         &mut self,
         map_tasks: &[DistTask],
         spec: &ShuffleSpec,
@@ -686,6 +699,35 @@ impl WorkerPool {
     /// no stage with this prefix ran).
     pub fn shuffle_epoch(&self, prefix: &str) -> Option<u64> {
         self.map_outputs.get(prefix).map(|r| r.epoch)
+    }
+
+    /// Forgets a stage's map outputs and tells every live seat to drop
+    /// its buckets. Best effort, no reply awaited: a seat handles its
+    /// connection in order, so it drops them before it starts any later
+    /// task, and a seat the message cannot reach is lost along with its
+    /// buckets.
+    fn release_shuffle(&mut self, prefix: &str) {
+        if let Some(reg) = self.map_outputs.get_mut(prefix) {
+            reg.entries.clear();
+        }
+        let msg = DriverMsg::ReleaseShuffle { prefix: prefix.to_string() };
+        for writer in self.slots.iter_mut().filter_map(|s| s.writer.as_mut()) {
+            let _ = send_msg(writer, &msg);
+        }
+    }
+
+    /// Shuffle addresses (`127.0.0.1:<port>`) of the live seats.
+    pub fn shuffle_addrs(&self) -> Vec<String> {
+        self.slots
+            .iter()
+            .filter(|s| s.is_live() && s.shuffle_port != 0)
+            .map(|s| format!("127.0.0.1:{}", s.shuffle_port))
+            .collect()
+    }
+
+    /// Process ids of the live seats' workers.
+    pub fn worker_pids(&self) -> Vec<u32> {
+        self.slots.iter().filter_map(|s| s.child.as_ref().map(Child::id)).collect()
     }
 
     /// Runs the given map tasks with local-bucket sinks at `epoch` and

@@ -118,6 +118,9 @@ pub enum DriverMsg {
     Task { id: u64, attempt: u32, fragment: PlanFragment, has_payload: bool },
     /// Liveness probe; the worker echoes [`WorkerMsg::Pong`].
     Ping { seq: u64 },
+    /// A shuffle stage ended: drop every bucket stored under
+    /// `{prefix}/`. No reply.
+    ReleaseShuffle { prefix: String },
     /// Finish the in-flight task (if any), then exit cleanly.
     Drain,
 }

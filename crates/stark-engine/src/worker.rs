@@ -19,13 +19,13 @@
 use crate::fault::FetchChaosState;
 use crate::plan::{ExecEnv, PlanError, PlanFragment, SchemaExecutor, TaskResult};
 use crate::shuffle::{FetchConfig, ShuffleEnv};
-use crate::storage::{sweep_orphan_dirs, ObjectStore};
+use crate::storage::ObjectStore;
 use crate::transport::{recv_msg, recv_payload, send_msg, write_frame, DriverMsg, WorkerMsg};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -107,23 +107,11 @@ impl WorkerRuntime {
             None => None,
         };
 
-        // Remote-shuffle half: sweep bucket dirs orphaned by crashed
-        // prior workers, then open this worker's own bucket store and
-        // serve it on a fresh port. `STARK_FETCH_CHAOS` arms
-        // deterministic fetch-side fault injection for the chaos suite.
-        static SHUFFLE_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let shuffle_base = std::env::temp_dir();
-        sweep_orphan_dirs(&shuffle_base, "stark-shuffle-");
-        let shuffle_root = shuffle_base.join(format!(
-            "stark-shuffle-{}-{}",
-            std::process::id(),
-            SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        // Remote-shuffle half: this worker's in-memory buckets, served
+        // on a fresh port. `STARK_FETCH_CHAOS` arms deterministic
+        // fetch-side fault injection for the chaos suite.
         let shuffle =
-            ShuffleEnv::new(&shuffle_root, FetchConfig::default(), FetchChaosState::from_env_var())
-                .map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidInput, format!("open shuffle store: {e}"))
-                })?;
+            ShuffleEnv::with_config(FetchConfig::default(), FetchChaosState::from_env_var());
         let shuffle_port = shuffle.serve().unwrap_or(0);
 
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -169,8 +157,8 @@ impl WorkerRuntime {
         stop.store(true, Ordering::Relaxed);
         let _ = hb_handle.join();
         result
-        // `shuffle` drops here, stopping the bucket server and removing
-        // the worker-local bucket directory
+        // `shuffle` drops here, stopping the bucket server and freeing
+        // the buckets
     }
 
     fn serve_loop(
@@ -189,6 +177,9 @@ impl WorkerRuntime {
                 DriverMsg::Ping { seq } => {
                     let mut w = writer.lock().unwrap();
                     send_msg(&mut *w, &WorkerMsg::Pong { seq })?;
+                }
+                DriverMsg::ReleaseShuffle { prefix } => {
+                    shuffle.release(&prefix);
                 }
                 DriverMsg::Drain => return Ok(()),
                 DriverMsg::Task { id, attempt: _, fragment, has_payload } => {
@@ -330,12 +321,13 @@ mod tests {
         (driver_side, handle)
     }
 
-    fn expect_hello(r: &mut BufReader<TcpStream>) {
+    /// Waits for the worker's Hello; returns its shuffle port.
+    fn expect_hello(r: &mut BufReader<TcpStream>) -> u16 {
         loop {
             match recv_msg::<WorkerMsg>(r).unwrap().expect("worker alive") {
-                WorkerMsg::Hello { schemas, .. } => {
+                WorkerMsg::Hello { schemas, shuffle_port, .. } => {
                     assert_eq!(schemas, vec!["i64".to_string()]);
-                    return;
+                    return shuffle_port;
                 }
                 WorkerMsg::Heartbeat { .. } => continue,
                 other => panic!("expected Hello, got {other:?}"),
@@ -455,6 +447,56 @@ mod tests {
             WorkerMsg::TaskOk { id: 6, output: TaskOutput::Count(2), .. } => {}
             other => panic!("expected TaskOk count, got {other:?}"),
         }
+        send_msg(&mut w, &DriverMsg::Drain).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn release_shuffle_drops_only_that_stage_s_buckets() {
+        let (stream, handle) = spawn_worker();
+        let mut w = stream.try_clone().unwrap();
+        let mut r = BufReader::new(stream);
+        let port = expect_hello(&mut r);
+
+        for (id, prefix) in [(1, "rs/a"), (2, "rs/b")] {
+            let fragment = PlanFragment {
+                schema: "i64".into(),
+                input: PlanInput::Inline,
+                ops: vec![],
+                sink: PlanSink::ShuffleWriteLocal {
+                    partitioner: "mod".into(),
+                    arg: crate::plan::int_arg("parts", 2),
+                    num_partitions: 2,
+                    prefix: prefix.into(),
+                    task: 0,
+                    epoch: 0,
+                },
+            };
+            send_msg(&mut w, &DriverMsg::Task { id, attempt: 0, fragment, has_payload: true })
+                .unwrap();
+            write_frame(&mut w, &encode_rows(&[1i64, 2, 3, 4]).unwrap()).unwrap();
+            match next_msg(&mut r) {
+                WorkerMsg::TaskOk { output: TaskOutput::BucketCounts(counts), .. } => {
+                    assert_eq!(counts, vec![2, 2]);
+                }
+                other => panic!("expected bucket counts, got {other:?}"),
+            }
+        }
+        send_msg(&mut w, &DriverMsg::ReleaseShuffle { prefix: "rs/a".into() }).unwrap();
+        // the worker reads its connection in order: once the pong is
+        // back, the release has been handled
+        send_msg(&mut w, &DriverMsg::Ping { seq: 1 }).unwrap();
+        assert_eq!(next_msg(&mut r), WorkerMsg::Pong { seq: 1 });
+
+        let cfg = crate::shuffle::FetchConfig { max_retries: 0, ..Default::default() };
+        let client = ShuffleEnv::with_config(cfg, None);
+        let addr = format!("127.0.0.1:{port}");
+        let key = |prefix| crate::plan::shuffle_bucket_key(prefix, 0, 0);
+        let err = client.fetch(&addr, &key("rs/a"), 0).unwrap_err();
+        assert!(err.reason.contains("not registered"), "{err}");
+        let kept = client.fetch(&addr, &key("rs/b"), 0).unwrap();
+        assert_eq!(crate::plan::decode_rows::<i64>(&kept).unwrap(), vec![2, 4]);
+
         send_msg(&mut w, &DriverMsg::Drain).unwrap();
         handle.join().unwrap().unwrap();
     }

@@ -7,16 +7,17 @@
 //! attempt is never struck again).
 
 use stark_engine::plan::{
-    decode_rows, encode_rows, int_arg, int_registry, PlanFragment, PlanInput, PlanOp, PlanSink,
-    TaskOutput,
+    decode_rows, encode_rows, int_arg, int_registry, shuffle_bucket_key, PlanFragment, PlanInput,
+    PlanOp, PlanSink, TaskOutput,
 };
 use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TaskResult, TransportChaos, TransportPolicy,
-    WorkerPool, WorkerPoolConfig,
+    FetchChaos, FetchConfig, FetchPolicy, ShuffleEnv, ShuffleMode, ShuffleSpec, TaskResult,
+    TransportChaos, TransportPolicy, WorkerPool, WorkerPoolConfig,
 };
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Built by cargo in this test's own profile — no directory search.
 const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
@@ -364,6 +365,98 @@ fn killed_serving_worker_regenerates_its_outputs_via_lineage() {
     assert!(
         pool.shuffle_epoch("rs/kill").unwrap() >= 1,
         "regeneration must bump the shuffle epoch"
+    );
+    pool.shutdown();
+}
+
+/// Asserts that no live worker of `pool` serves any bucket of the stage
+/// `prefix` any more. Release is unacknowledged, so each key is polled
+/// for a short while before the test gives up.
+fn assert_stage_released(pool: &WorkerPool, prefix: &str, map_tasks: usize, parts: usize) {
+    let client =
+        ShuffleEnv::with_config(FetchConfig { max_retries: 0, ..Default::default() }, None);
+    let addrs = pool.shuffle_addrs();
+    assert_eq!(addrs.len(), pool.live_workers(), "every live seat serves buckets");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for addr in &addrs {
+        for key in
+            (0..map_tasks).flat_map(|t| (0..parts).map(move |p| shuffle_bucket_key(prefix, t, p)))
+        {
+            loop {
+                match client.fetch(addr, &key, 0) {
+                    Err(f) if f.reason.contains("not registered") => break,
+                    other => {
+                        let served = other.map(|bytes| bytes.len());
+                        assert!(Instant::now() < deadline, "{addr} still has {key}: {served:?}");
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn run_shuffle_releases_its_buckets_however_it_returns() {
+    let inputs = shuffle_inputs();
+    let map_tasks = shuffle_map_tasks(&inputs);
+    let mut pool = WorkerPool::spawn(pool_config(3)).unwrap();
+
+    let results = pool.run_shuffle(&map_tasks, &shuffle_spec("rs/ok")).unwrap();
+    assert_eq!(collected_rows(&results[0]), shuffle_expected(&inputs)[0]);
+    assert_stage_released(&pool, "rs/ok", map_tasks.len(), 4);
+
+    // a reduce side that fails after every map output was written
+    let failing = ShuffleSpec {
+        reduce_ops: vec![PlanOp::Map { op: "no-such-op".into(), arg: serde_json::Value::Null }],
+        ..shuffle_spec("rs/err")
+    };
+    let err = pool.run_shuffle(&map_tasks, &failing).unwrap_err();
+    assert!(err.to_string().contains("no-such-op"), "{err}");
+    assert_stage_released(&pool, "rs/err", map_tasks.len(), 4);
+    pool.shutdown();
+}
+
+/// Resident set size of a process in KiB, from `/proc`.
+fn rss_kib(pid: u32) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// Runs one counting shuffle stage per index in `stages`, each under its
+/// own prefix.
+fn run_count_stages(pool: &mut WorkerPool, map_tasks: &[DistTask], stages: Range<usize>) {
+    for i in stages {
+        let spec = ShuffleSpec {
+            reduce_ops: Vec::new(),
+            reduce_sink: PlanSink::Count,
+            ..shuffle_spec(&format!("mem/{i}"))
+        };
+        assert_eq!(pool.run_shuffle(map_tasks, &spec).unwrap().len(), 4);
+    }
+}
+
+#[test]
+fn many_shuffle_stages_do_not_grow_worker_memory() {
+    let mut pool = WorkerPool::spawn(pool_config(2)).unwrap();
+    let inputs: Vec<Vec<i64>> =
+        (0..4).map(|t| (0..3_000).map(|i| 1_000_000_000_000 + t * 3_000 + i).collect()).collect();
+    let map_tasks = shuffle_map_tasks(&inputs);
+    let stage_bytes: usize = map_tasks.iter().map(|t| t.payload.as_ref().unwrap().len()).sum();
+    let rss =
+        |pool: &WorkerPool| -> Option<u64> { pool.worker_pids().into_iter().map(rss_kib).sum() };
+
+    // warm up allocator arenas and pooled connections
+    run_count_stages(&mut pool, &map_tasks, 0..10);
+    let Some(before) = rss(&pool) else { return }; // no /proc: nothing to measure
+    run_count_stages(&mut pool, &map_tasks, 10..110);
+    let after = rss(&pool).expect("workers still alive");
+    // kept buckets would add each stage's whole output to some worker
+    let kept_kib = (100 * stage_bytes / 1024) as u64;
+    assert!(
+        after.saturating_sub(before) < kept_kib / 4,
+        "worker RSS grew {before} → {after} KiB over 100 stages ({kept_kib} KiB if kept)"
     );
     pool.shutdown();
 }
