@@ -17,7 +17,6 @@ use stark_engine::{
     Context, EngineConfig, FaultInjector, FaultPolicy, FaultScope, ObjectStore, TaskError,
 };
 use stark_geo::{Coord, DistanceFn};
-use std::path::Path;
 use std::sync::Arc;
 
 /// F4 — Figure 4: self-join execution time per system, without
@@ -602,114 +601,6 @@ pub fn stream(ctx: &Context, batch_sizes: &[usize], batches: usize) -> Table {
     t
 }
 
-/// S12 — ablation: columnar partition batches + selection-bitmap filter
-/// kernels on the hot filter shapes of the evaluation — S1 (spatial
-/// range filter, containedBy on an exact-rectangle query), S2 (temporal
-/// window over the whole space) and S5 (Haversine withinDistance on
-/// lon/lat points). Each workload runs `repeats` timed passes over a
-/// cached dataset with the columnar path off (row-at-a-time predicate
-/// evaluation) and on (shared [`ColumnarBatch`](stark::ColumnarBatch)
-/// per partition, bitmap kernels, row fallback only for undecided
-/// lanes); results must be byte-identical. The columnar metrics
-/// (batches built, rows scanned columnar) cover the warm-up pass too,
-/// which is where each partition's batch is built once and cached.
-pub fn columnar(parallelism: usize, n: usize, repeats: usize) -> Table {
-    let mut t = Table::new(
-        format!("S12: columnar filter kernels, {n} points x {repeats} passes"),
-        &[
-            "workload",
-            "columnar",
-            "time [s]",
-            "records/s",
-            "batches built",
-            "rows scanned columnar",
-            "results",
-            "speedup",
-        ],
-    );
-    let s = workloads::space();
-    let s2_query = stark::STObject::from_wkt_interval(
-        &format!(
-            "POLYGON(({} {}, {} {}, {} {}, {} {}, {} {}))",
-            s.min_x() - 1.0,
-            s.min_y() - 1.0,
-            s.max_x() + 1.0,
-            s.min_y() - 1.0,
-            s.max_x() + 1.0,
-            s.max_y() + 1.0,
-            s.min_x() - 1.0,
-            s.max_y() + 1.0,
-            s.min_x() - 1.0,
-            s.min_y() - 1.0
-        ),
-        0,
-        50_000,
-    )
-    .expect("S2 query");
-    let cases: Vec<(&str, bool, stark::STObject, STPredicate)> = vec![
-        ("S1 containedBy", false, workloads::query_polygon(0.05), STPredicate::ContainedBy),
-        ("S2 temporal window", false, s2_query, STPredicate::ContainedBy),
-        (
-            "S5 withinDistance (haversine)",
-            true,
-            stark::STObject::point(10.0, 50.0),
-            STPredicate::WithinDistance { max_dist: 500_000.0, dist_fn: DistanceFn::Haversine },
-        ),
-    ];
-
-    for (name, world, query, pred) in cases {
-        let mut baseline: Option<(std::time::Duration, usize)> = None;
-        for enabled in [false, true] {
-            let ctx = Context::with_config(EngineConfig {
-                parallelism,
-                default_partitions: parallelism,
-                columnar_enabled: enabled,
-                ..EngineConfig::default()
-            });
-            let parts = (parallelism * 2).max(8);
-            let data = if world {
-                workloads::world_points(&ctx, n, parts).cache()
-            } else {
-                workloads::uniform_points(&ctx, n, parts).cache()
-            };
-            data.count(); // materialise the cache outside the timings
-            let srdd = data.spatial();
-            let before = ctx.metrics();
-            srdd.filter(&query, pred).count(); // warm-up: builds + caches the batches
-            let (count, time) = timed(|| {
-                let mut c = 0usize;
-                for _ in 0..repeats {
-                    c += srdd.filter(&query, pred).count();
-                }
-                c
-            });
-            let d = ctx.metrics().diff(&before);
-            let throughput = (n * repeats) as f64 / time.as_secs_f64().max(1e-9);
-            let speedup = match baseline {
-                None => "1.00x (baseline)".to_string(),
-                Some((base, base_count)) => {
-                    assert_eq!(base_count, count, "columnar path changed the result on {name}");
-                    format!("{:.2}x", base.as_secs_f64() / time.as_secs_f64().max(1e-9))
-                }
-            };
-            if baseline.is_none() {
-                baseline = Some((time, count));
-            }
-            t.push(vec![
-                name.into(),
-                if enabled { "on" } else { "off" }.into(),
-                secs(time),
-                format!("{throughput:.0}"),
-                d.columnar_batches_built.to_string(),
-                d.rows_scanned_columnar.to_string(),
-                (count / repeats).to_string(),
-                speedup,
-            ]);
-        }
-    }
-    t
-}
-
 /// S8 — chaos ablation: the A1 pruning pipeline (grid(8) partitioning +
 /// containedBy filter) under a seeded 10% transient task-fault rate,
 /// with fault tolerance progressively enabled — clean baseline, faults
@@ -1066,386 +957,6 @@ pub fn memory(parallelism: usize, n: usize, seed: u64) -> Table {
     t
 }
 
-/// S13 — IVM ablation: a standing withinDistance join over the S6
-/// drifting-hotspot stream at 10× the S6 event rate, run once with the
-/// recompute pipeline (every batch rebuilds the probe index and re-joins
-/// the full accumulated sides) and once with delta-based incremental
-/// view maintenance (only the batch delta probes the opposite side's
-/// maintained per-partition STR-trees). Both runs consume the identical
-/// seeded stream; the accumulated standing join result must be
-/// identical, and the interesting number is the tail: p99 per-batch
-/// latency, which for recompute grows with the accumulated state while
-/// the incremental path stays O(batch).
-pub fn ivm(ctx: &Context, batches: usize, batch_records: usize) -> Table {
-    use stark_stream::{
-        EventPayload, GeneratorSource, JoinEmission, JoinSpec, MemorySink, PipelineMode,
-        StreamConfig, StreamContext, StreamJob, StreamReport,
-    };
-
-    let mut t = Table::new(
-        format!("S13: standing withinDistance join, {batches} batches x {batch_records} events"),
-        &[
-            "mode",
-            "records",
-            "mean batch [ms]",
-            "p99 batch [ms]",
-            "max batch [ms]",
-            "standing pairs",
-            "retractions",
-            "p99 speedup",
-        ],
-    );
-
-    let space = workloads::space();
-    let summary = vec![
-        (
-            stark_geo::Envelope::from_point(Coord::new(space.min_x(), space.min_y())),
-            Coord::new(space.min_x(), space.min_y()),
-        ),
-        (
-            stark_geo::Envelope::from_point(Coord::new(space.max_x(), space.max_y())),
-            Coord::new(space.max_x(), space.max_y()),
-        ),
-    ];
-    let partitioner: Arc<dyn SpatialPartitioner> = Arc::new(GridPartitioner::build(6, &summary));
-    let dist = space.width() * 0.001;
-
-    let percentile = |report: &StreamReport, q: f64| -> f64 {
-        let mut ms: Vec<f64> =
-            report.batches.iter().map(|b| b.latency.as_secs_f64() * 1e3).collect();
-        if ms.is_empty() {
-            return 0.0;
-        }
-        ms.sort_by(f64::total_cmp);
-        ms[(((ms.len() as f64) * q).ceil() as usize).clamp(1, ms.len()) - 1]
-    };
-
-    let mut base_p99: Option<f64> = None;
-    let mut base_pairs: Option<Vec<(u64, u64)>> = None;
-    for mode in [PipelineMode::Recompute, PipelineMode::Incremental] {
-        let sc = StreamContext::with_config(
-            ctx.clone(),
-            StreamConfig {
-                batch_records,
-                channel_capacity: 4,
-                parallelism: ctx.parallelism().max(1),
-                ..Default::default()
-            },
-        );
-        let source =
-            GeneratorSource::new(42, space, batches, 1_000, 250).with_drifting_hotspot(0.25);
-        let sink = MemorySink::new();
-        let join = JoinSpec::new(
-            "s13-near",
-            Arc::new(|_: &stark::STObject, v: &EventPayload| v.0.is_multiple_of(2)),
-            Arc::new(|_: &stark::STObject, v: &EventPayload| !v.0.is_multiple_of(2)),
-            STPredicate::within_distance(dist),
-            partitioner.clone(),
-            16,
-        );
-        let job = StreamJob::new().with_mode(mode).with_join(join).with_sink(sink.clone());
-        let report = sc.run(source, job);
-
-        // accumulate the standing result from whatever the mode emitted:
-        // full re-emissions replace it, deltas apply to it
-        let mut standing: Vec<(u64, u64)> = Vec::new();
-        for (_, emission) in &sink.state().joins {
-            match emission {
-                JoinEmission::Full(pairs) => {
-                    standing = pairs.iter().map(|((_, l), (_, r))| (l.0, r.0)).collect();
-                }
-                JoinEmission::Delta { inserts, retracts } => {
-                    for ((_, l), (_, r)) in retracts {
-                        let key = (l.0, r.0);
-                        let i = standing
-                            .iter()
-                            .position(|k| *k == key)
-                            .expect("S13: retraction of a pair that was never asserted");
-                        standing.swap_remove(i);
-                    }
-                    standing.extend(inserts.iter().map(|((_, l), (_, r))| (l.0, r.0)));
-                }
-            }
-        }
-        standing.sort_unstable();
-        match &base_pairs {
-            None => base_pairs = Some(standing.clone()),
-            Some(base) => {
-                assert_eq!(base, &standing, "S13: incremental join diverged from recompute")
-            }
-        }
-
-        let p99 = percentile(&report, 0.99);
-        let speedup = match base_p99 {
-            None => {
-                base_p99 = Some(p99);
-                "1.00x (baseline)".to_string()
-            }
-            Some(base) => format!("{:.2}x", base / p99.max(1e-9)),
-        };
-        let ms = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
-        t.push(vec![
-            match mode {
-                PipelineMode::Recompute => "recompute".into(),
-                PipelineMode::Incremental => "incremental".into(),
-            },
-            report.total_records().to_string(),
-            ms(report.mean_latency()),
-            format!("{p99:.2}"),
-            ms(report.max_latency()),
-            standing.len().to_string(),
-            report.retractions_emitted().to_string(),
-            speedup,
-        ]);
-    }
-    t
-}
-
-/// S14 — supervised multi-process ablation: the A1 pruning filter, the
-/// F4 self-join, and the A2 partitioner comparison executed by a
-/// [`WorkerPool`](stark_engine::WorkerPool) of real forked worker
-/// processes over TCP — one [`run_shuffle`] job each (grid/BSP routing
-/// inside the workers, peer-fetched buckets, then a per-partition
-/// filter, self-join or count) — against the same plans run in-process.
-/// `worker` is the program the pool forks; `repro` passes itself. Each
-/// A1/F4 pipeline is then repeated with a one-shot `KillWorker`
-/// transport fault: the table pins that the recovered run's results
-/// stay byte-identical and that exactly one reassignment pays for the
-/// injected loss.
-///
-/// [`run_shuffle`]: stark_engine::WorkerPool::run_shuffle
-pub fn distributed(worker: &Path, n: usize, workers: usize) -> Table {
-    use stark::distributed::{to_arg, EventRow, SelfJoinArg, StFilterArg, EVENT_SCHEMA};
-    use stark_engine::plan::{
-        decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
-    };
-    use stark_engine::{
-        DistTask, ShuffleMode, ShuffleSpec, TransportChaos, TransportPolicy, WorkerPool,
-        WorkerPoolConfig,
-    };
-
-    let mut t = Table::new(
-        format!("S14: multi-process execution, {n} points, {workers} workers, grid(4) shuffle"),
-        &["pipeline", "mode", "results", "time [s]", "injected", "reassigned", "lost", "identical"],
-    );
-
-    // The F4 dataset, materialised driver-side: plan fragments ship rows.
-    let gen = Context::with_parallelism(workers.max(1));
-    let data: Vec<EventRow> = workloads::figure4_points(&gen, n, workers.max(1)).collect();
-    let summary: stark::DataSummary =
-        data.iter().map(|(o, _)| (o.envelope(), o.centroid())).collect();
-    let grid = GridPartitioner::build(4, &summary);
-    let parts = grid.num_partitions();
-    let chunk = n.div_ceil((workers * 2).max(1)).max(1);
-    let map_tasks: Vec<DistTask> = data
-        .chunks(chunk)
-        .map(|rows| {
-            DistTask::with_rows(
-                PlanFragment {
-                    schema: EVENT_SCHEMA.into(),
-                    input: PlanInput::Inline,
-                    ops: Vec::new(),
-                    sink: PlanSink::Collect, // replaced by run_shuffle
-                },
-                encode_rows(rows).expect("encode S14 chunk"),
-            )
-        })
-        .collect();
-    let spec = |prefix: &str,
-                partitioner: &str,
-                arg: serde_json::Value,
-                num_partitions: usize,
-                reduce_ops: Vec<PlanOp>,
-                reduce_sink: PlanSink| ShuffleSpec {
-        mode: ShuffleMode::Remote,
-        partitioner: partitioner.into(),
-        partitioner_arg: arg,
-        num_partitions,
-        prefix: prefix.into(),
-        reduce_ops,
-        reduce_sink,
-    };
-
-    let query = workloads::query_polygon(0.25);
-    let filter_op = PlanOp::Filter {
-        op: "st_filter".into(),
-        arg: to_arg(&StFilterArg { query: query.clone(), predicate: STPredicate::ContainedBy }),
-    };
-    // F4 on point events: exact intersection of instants almost never
-    // fires, so the self-join uses the paper's withinDistance predicate.
-    let join_pred = STPredicate::within_distance(5.0);
-    let join_sink = PlanSink::CollectWith {
-        op: "self_join_pairs".into(),
-        arg: to_arg(&SelfJoinArg { predicate: join_pred }),
-    };
-
-    // Local references, computed once with plain iterators.
-    let (local_ids, filter_time) = timed(|| {
-        let mut ids: Vec<u64> = data
-            .iter()
-            .filter(|(o, _)| STPredicate::ContainedBy.eval(o, &query))
-            .map(|(_, (id, _))| *id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    });
-    let (local_pairs, join_time) = timed(|| {
-        let mut by_part: Vec<Vec<EventRow>> = vec![Vec::new(); parts];
-        for row in &data {
-            by_part[grid.partition_of(&row.0)].push(row.clone());
-        }
-        let mut pairs: Vec<(u64, u64)> = by_part
-            .iter()
-            .flat_map(|rows| stark::distributed::self_join_pairs(rows, join_pred))
-            .collect();
-        pairs.sort_unstable();
-        pairs
-    });
-
-    // One distributed pipeline run on a fresh pool: a whole shuffle job
-    // (routing inside the workers, per-partition reduce over the
-    // peer-fetched buckets).
-    let run =
-        |spec: &ShuffleSpec,
-         chaos: Option<Arc<TransportChaos>>|
-         -> (Vec<stark_engine::TaskResult>, std::time::Duration, stark_engine::PoolStats) {
-            let mut cfg = WorkerPoolConfig::new(worker);
-            cfg.workers = workers;
-            cfg.chaos = chaos;
-            let mut pool = WorkerPool::spawn(cfg).expect("spawn S14 worker pool");
-            let (results, time) =
-                timed(|| pool.run_shuffle(&map_tasks, spec).expect("S14 shuffle"));
-            let stats = pool.stats();
-            pool.shutdown();
-            (results, time, stats)
-        };
-    let grid_spec = |prefix: &str, ops: Vec<PlanOp>, sink: PlanSink| {
-        spec(prefix, "grid", to_arg(&grid), parts, ops, sink)
-    };
-
-    let collected_ids = |results: &[stark_engine::TaskResult]| -> Vec<u64> {
-        let mut ids: Vec<u64> = results
-            .iter()
-            .flat_map(|r| {
-                decode_rows::<EventRow>(r.payload.as_deref().expect("collect payload"))
-                    .expect("decode S14 rows")
-            })
-            .map(|(_, (id, _))| id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    };
-    let collected_pairs = |results: &[stark_engine::TaskResult]| -> Vec<(u64, u64)> {
-        let mut pairs: Vec<(u64, u64)> = results
-            .iter()
-            .flat_map(|r| match &r.output {
-                TaskOutput::Json(v) => {
-                    let pairs: Vec<(u64, u64)> =
-                        serde::Deserialize::from_value(v).expect("decode S14 pairs");
-                    pairs
-                }
-                other => panic!("S14: expected JSON pairs, got {other:?}"),
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs
-    };
-
-    let mut push = |pipeline: &str,
-                    mode: &str,
-                    results: String,
-                    time: std::time::Duration,
-                    stats: Option<stark_engine::PoolStats>,
-                    injected: u64,
-                    identical: &str| {
-        let (reassigned, lost) = stats.map_or((0, 0), |s| (s.tasks_reassigned, s.workers_lost));
-        t.push(vec![
-            pipeline.into(),
-            mode.into(),
-            results,
-            secs(time),
-            injected.to_string(),
-            reassigned.to_string(),
-            lost.to_string(),
-            identical.into(),
-        ]);
-    };
-
-    // A1: containedBy filter.
-    push("A1 filter", "local", local_ids.len().to_string(), filter_time, None, 0, "-");
-    let a1 = grid_spec("s14/a1", vec![filter_op], PlanSink::Collect);
-    let (res, time, stats) = run(&a1, None);
-    let clean = collected_ids(&res);
-    assert_eq!(clean, local_ids, "S14: distributed A1 diverged from local");
-    push("A1 filter", "distributed", clean.len().to_string(), time, Some(stats), 0, "yes");
-    let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
-    let (res, time, stats) = run(&a1, Some(chaos.clone()));
-    let killed = collected_ids(&res);
-    assert_eq!(killed, local_ids, "S14: A1 after worker kill diverged");
-    assert_eq!(stats.tasks_reassigned, chaos.injected(), "S14: A1 reassignment count");
-    push(
-        "A1 filter",
-        "distributed + kill",
-        killed.len().to_string(),
-        time,
-        Some(stats),
-        chaos.injected(),
-        "yes",
-    );
-
-    // F4: per-partition self-join.
-    push("F4 self-join", "local", local_pairs.len().to_string(), join_time, None, 0, "-");
-    let f4 = grid_spec("s14/f4", Vec::new(), join_sink);
-    let (res, time, stats) = run(&f4, None);
-    let clean = collected_pairs(&res);
-    assert_eq!(clean, local_pairs, "S14: distributed F4 diverged from local");
-    push("F4 self-join", "distributed", clean.len().to_string(), time, Some(stats), 0, "yes");
-    let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
-    let (res, time, stats) = run(&f4, Some(chaos.clone()));
-    let killed = collected_pairs(&res);
-    assert_eq!(killed, local_pairs, "S14: F4 after worker kill diverged");
-    assert_eq!(stats.tasks_reassigned, chaos.injected(), "S14: F4 reassignment count");
-    push(
-        "F4 self-join",
-        "distributed + kill",
-        killed.len().to_string(),
-        time,
-        Some(stats),
-        chaos.injected(),
-        "yes",
-    );
-
-    // A2: shuffle balance, grid vs BSP, routed inside the workers; each
-    // reduce partition counts the rows it received.
-    let bsp = BspPartitioner::build((n / 64).max(16), 4.0, &summary);
-    for (name, arg, num) in
-        [("grid", to_arg(&grid), parts), ("bsp", to_arg(&bsp), bsp.num_partitions())]
-    {
-        let a2 = spec(&format!("s14/a2-{name}"), name, arg, num, Vec::new(), PlanSink::Count);
-        let (res, time, stats) = run(&a2, None);
-        let totals: Vec<u64> = res
-            .iter()
-            .map(|r| match r.output {
-                TaskOutput::Count(c) => c,
-                ref other => panic!("S14: expected a partition count, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(totals.iter().sum::<u64>(), data.len() as u64, "S14: A2 lost rows");
-        let max = totals.iter().copied().max().unwrap_or(0);
-        let mean = totals.iter().sum::<u64>() as f64 / totals.len().max(1) as f64;
-        push(
-            "A2 shuffle balance",
-            &format!("distributed {name}({num})"),
-            format!("imbalance {:.2}x", max as f64 / mean.max(1e-9)),
-            time,
-            Some(stats),
-            0,
-            "-",
-        );
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1631,26 +1142,6 @@ mod tests {
     fn index_modes_runs() {
         let t = index_modes(&ctx(), 2000, 3);
         assert_eq!(t.rows.len(), 3);
-    }
-
-    #[test]
-    fn ivm_ablation_joins_agree() {
-        // standing-pair equality across modes is asserted inside ivm()
-        let t = ivm(&ctx(), 6, 1_500);
-        assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.rows[0][0], "recompute");
-        assert_eq!(t.rows[1][0], "incremental");
-        // the identical seeded stream reaches both modes whole
-        assert_eq!(t.rows[0][1], t.rows[1][1]);
-        assert!(t.rows[0][5].parse::<usize>().unwrap() > 0, "the join must produce pairs: {t:?}");
-        // an insert-only stream never emits retractions in either mode
-        assert_eq!(t.rows[0][6], "0");
-        assert_eq!(t.rows[1][6], "0");
-        // both modes report a latency tail (the p99 ratio is measured at
-        // repro scale in EXPERIMENTS.md, not asserted here)
-        for row in &t.rows {
-            assert!(row[3].parse::<f64>().is_ok_and(f64::is_finite), "p99 column: {row:?}");
-        }
     }
 
     #[test]

@@ -55,16 +55,13 @@ impl PartitioningInfo {
 
 /// A dataset of `(STObject, V)` pairs with optional spatial partitioning.
 ///
-/// When the engine's columnar path is enabled
-/// ([`EngineConfig::columnar_enabled`](stark_engine::EngineConfig)),
 /// [`filter`](SpatialRdd::filter) does not lower to a row-at-a-time
-/// `Rdd::filter` immediately: predicates queue in `pending` and the whole
-/// chain lowers lazily into **one** `ColumnarFilter[..]` operator that
-/// builds (or reuses) the partition's [`ColumnarBatch`] and narrows a
-/// single [`SelectionBitmap`] across all predicates — filter→filter
-/// chains evaluate without re-materialising rows in between. With the
-/// flag off, filters take the original row path and produce
-/// byte-identical results.
+/// `Rdd::filter`: predicates queue in `pending` and the whole chain
+/// lowers lazily into **one** `ColumnarFilter[..]` operator that builds
+/// (or reuses) the partition's [`ColumnarBatch`] and narrows a single
+/// [`SelectionBitmap`] across all predicates — filter→filter chains
+/// evaluate without re-materialising rows in between, with results
+/// byte-identical to evaluating each predicate row by row.
 pub struct SpatialRdd<V: Data> {
     base: Rdd<(STObject, V)>,
     partitioning: Option<Arc<PartitioningInfo>>,
@@ -261,35 +258,24 @@ impl<V: Data> SpatialRdd<V> {
     /// Filters to elements `e` with `pred(e, query) == true`, pruning
     /// partitions whose extent cannot contain a match (paper §2.1).
     ///
-    /// With the engine's columnar path enabled the predicate only queues:
-    /// consecutive filters fuse into one columnar chain that is lowered
-    /// lazily (see [`SpatialRdd`] docs). Results are byte-identical to
-    /// the row path either way.
+    /// The predicate only queues: consecutive filters fuse into one
+    /// columnar chain that is lowered lazily (see [`SpatialRdd`] docs).
     pub fn filter(&self, query: &STObject, pred: STPredicate) -> SpatialRdd<V> {
         let mask = self.partitioning.as_ref().map(|info| info.mask_for(&pred, query));
-        if self.base.context().columnar_enabled() {
-            let pending_mask = match (&self.pending_mask, mask) {
-                (Some(prev), Some(m)) => Some(prev.iter().zip(&m).map(|(a, b)| *a && *b).collect()),
-                (Some(prev), None) => Some(prev.clone()),
-                (None, m) => m,
-            };
-            let mut pending = self.pending.clone();
-            pending.push((pred, query.clone()));
-            return SpatialRdd {
-                base: self.base.clone(),
-                partitioning: self.partitioning.clone(),
-                pending,
-                pending_mask,
-                resolved: OnceLock::new(),
-            };
-        }
-        let masked = match mask {
-            Some(m) => self.rdd().with_partition_mask(m),
-            None => self.rdd().clone(),
+        let pending_mask = match (&self.pending_mask, mask) {
+            (Some(prev), Some(m)) => Some(prev.iter().zip(&m).map(|(a, b)| *a && *b).collect()),
+            (Some(prev), None) => Some(prev.clone()),
+            (None, m) => m,
         };
-        let q = query.clone();
-        let filtered = masked.filter(move |(o, _)| pred.eval(o, &q));
-        SpatialRdd::with_info(filtered, self.partitioning.clone())
+        let mut pending = self.pending.clone();
+        pending.push((pred, query.clone()));
+        SpatialRdd {
+            base: self.base.clone(),
+            partitioning: self.partitioning.clone(),
+            pending,
+            pending_mask,
+            resolved: OnceLock::new(),
+        }
     }
 
     /// `withinDistance`: all elements within `max_dist` of `query` under

@@ -1,11 +1,12 @@
 //! Columnar-vs-row equivalence and the NaN hardening regressions.
 //!
-//! The columnar filter path ([`EngineConfig::columnar_enabled`]) must be
-//! **byte-identical** to the row path on every pipeline shape the S12
-//! ablation measures (S1 spatial filter, S2 temporal filter, S5
+//! `SpatialRdd::filter` chains lower to one columnar pass, which must be
+//! **byte-identical** to a row-at-a-time reference on every filter shape
+//! of the evaluation (S1 spatial filter, S2 temporal filter, S5
 //! withinDistance) — including chained filters, spatially partitioned
-//! inputs, and runs under the seeded fault injector. These tests compare
-//! the two paths on randomised datasets.
+//! inputs, and runs under the seeded fault injector. The reference is a
+//! plain `Rdd::filter` over the same dataset with no partition mask, so
+//! agreement also shows that partition pruning never drops a match.
 
 use proptest::prelude::*;
 use stark::{
@@ -17,46 +18,45 @@ use std::sync::Arc;
 
 type Row = (STObject, u32);
 
-fn make_ctx(columnar: bool, injector: Option<Arc<FaultInjector>>) -> Context {
+fn make_ctx(injector: Option<Arc<FaultInjector>>) -> Context {
     Context::with_config(EngineConfig {
         parallelism: 4,
         default_partitions: 4,
-        columnar_enabled: columnar,
         max_task_retries: 3,
         fault_injector: injector,
         ..EngineConfig::default()
     })
 }
 
-/// Runs `chain` as successive `filter` calls on one engine configuration
-/// and materialises the result.
+/// Runs `chain` as successive `filter` calls and materialises the
+/// result, together with the row reference over the same dataset.
 fn run_chain(
-    columnar: bool,
     injector: Option<Arc<FaultInjector>>,
     data: &[Row],
     chain: &[(STPredicate, STObject)],
     partitioned: bool,
-) -> Vec<Row> {
-    let ctx = make_ctx(columnar, injector);
+) -> (Vec<Row>, Vec<Row>) {
+    let ctx = make_ctx(injector);
     let mut s = ctx.parallelize(data.to_vec(), 4).spatial();
     if partitioned {
         s = s.partition_by(Arc::new(GridPartitioner::build(3, &s.summarize())));
     }
+    let reference_chain = chain.to_vec();
+    let reference =
+        s.rdd().filter(move |(o, _)| reference_chain.iter().all(|(p, q)| p.eval(o, q))).collect();
     for (pred, q) in chain {
         s = s.filter(q, *pred);
     }
-    s.collect()
+    (s.collect(), reference)
 }
 
 fn assert_paths_agree(data: &[Row], chain: &[(STPredicate, STObject)], partitioned: bool) {
-    let row = run_chain(false, None, data, chain, partitioned);
-    let col = run_chain(true, None, data, chain, partitioned);
+    let (col, row) = run_chain(None, data, chain, partitioned);
     assert_eq!(col, row, "columnar and row paths diverged (partitioned={partitioned})");
     // and under injected transient faults (PR 3 chaos harness): retries
     // must reproduce the same bytes on both paths
-    let chaos = || Some(Arc::new(FaultInjector::transient(0xC0_1A12, 0.15)));
-    let row_chaos = run_chain(false, chaos(), data, chain, partitioned);
-    let col_chaos = run_chain(true, chaos(), data, chain, partitioned);
+    let chaos = Some(Arc::new(FaultInjector::transient(0xC0_1A12, 0.15)));
+    let (col_chaos, row_chaos) = run_chain(chaos, data, chain, partitioned);
     assert_eq!(row_chaos, row, "row path not fault-transparent");
     assert_eq!(col_chaos, row, "columnar path not fault-transparent");
 }
@@ -176,7 +176,7 @@ proptest! {
         for i in 0..n_nan {
             data.push((STObject::point(f64::NAN, i as f64), 1000 + i as u32));
         }
-        let ctx = make_ctx(true, None);
+        let ctx = make_ctx(None);
         let s = ctx.parallelize(data, 4).spatial();
         let q = STObject::point(1.0, 1.0);
         let a = s.knn(&q, k, DistanceFn::Euclidean);
@@ -214,28 +214,38 @@ fn non_finite_rows_agree_on_both_paths() {
     }
 }
 
-/// The columnar metrics move only when the columnar path runs.
+/// Dense untimed points in every grid cell, so a partitioned run loses
+/// matches against the unmasked row reference if pruning ever drops a
+/// partition that holds one.
+#[test]
+fn pruning_never_drops_a_match() {
+    let data: Vec<Row> =
+        (0..400).map(|i| (STObject::point((i % 20) as f64, (i / 20) as f64), i as u32)).collect();
+    let rects = [(-1.0, -1.0, 20.0, 20.0), (0.5, 0.5, 6.5, 6.5), (12.5, 3.5, 19.5, 15.5)];
+    for (x0, y0, x1, y1) in rects {
+        let q = STObject::new(Geometry::rect(x0, y0, x1, y1));
+        for pred in [STPredicate::Intersects, STPredicate::ContainedBy] {
+            assert_paths_agree(&data, &[(pred, q.clone())], true);
+        }
+    }
+    let near = STPredicate::WithinDistance { max_dist: 4.0, dist_fn: DistanceFn::Euclidean };
+    assert_paths_agree(&data, &[(near, STObject::point(2.0, 2.0))], true);
+}
+
+/// A filter reports the columnar batches it built and the rows it scanned.
 #[test]
 fn columnar_metrics_report_batches_and_rows() {
     let data: Vec<Row> =
         (0..80).map(|i| (STObject::point((i % 10) as f64, (i / 10) as f64), i as u32)).collect();
     let q = STObject::new(Geometry::rect(1.0, 1.0, 6.0, 6.0));
 
-    let ctx = make_ctx(true, None);
+    let ctx = make_ctx(None);
     let before = ctx.metrics();
-    let n = ctx.parallelize(data.clone(), 4).spatial().filter(&q, STPredicate::ContainedBy).count();
+    let n = ctx.parallelize(data, 4).spatial().filter(&q, STPredicate::ContainedBy).count();
     let delta = ctx.metrics().diff(&before);
     assert!(n > 0);
     assert!(delta.columnar_batches_built > 0, "no batches built: {delta:?}");
     assert_eq!(delta.rows_scanned_columnar, 80, "every row scanned columnar once");
-
-    let ctx = make_ctx(false, None);
-    let before = ctx.metrics();
-    let m = ctx.parallelize(data, 4).spatial().filter(&q, STPredicate::ContainedBy).count();
-    let delta = ctx.metrics().diff(&before);
-    assert_eq!(m, n);
-    assert_eq!(delta.columnar_batches_built, 0);
-    assert_eq!(delta.rows_scanned_columnar, 0);
 }
 
 /// Satellite regression: NaN / infinite centroids are rejected with a
@@ -264,7 +274,7 @@ fn nan_centroid_is_rejected_by_partitioners() {
     );
 
     // the engine surfaces it as a non-retryable InvalidRecord task error
-    let ctx = make_ctx(true, None);
+    let ctx = make_ctx(None);
     let mut poisoned = finite.clone();
     poisoned.push((nan_obj, 999));
     let g = grid.clone();

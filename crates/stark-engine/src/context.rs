@@ -20,13 +20,6 @@ pub struct EngineConfig {
     pub default_partitions: usize,
     /// Human-readable application name, surfaced in panics and logs.
     pub app_name: String,
-    /// Whether consumers that support it (STARK's spatial filter chain)
-    /// may evaluate predicates over a per-partition columnar sidecar
-    /// ([`Partition::to_columns`](crate::Partition)) instead of
-    /// row-at-a-time. On by default; results are byte-identical either
-    /// way — turning it off restores the pure row path the S12
-    /// experiment measures against.
-    pub columnar_enabled: bool,
     /// Retries a failed partition task gets before its error becomes
     /// permanent — Spark's `spark.task.maxFailures - 1`. Each retry
     /// recomputes the partition from lineage (evicting any poisoned
@@ -85,7 +78,6 @@ impl Default for EngineConfig {
             parallelism: cores,
             default_partitions: cores,
             app_name: "stark".to_string(),
-            columnar_enabled: true,
             max_task_retries: 3,
             retry_backoff: Duration::ZERO,
             fault_injector: None,
@@ -176,12 +168,6 @@ impl Context {
     /// The configured default partition count.
     pub fn default_partitions(&self) -> usize {
         self.inner.config.default_partitions
-    }
-
-    /// Whether the columnar filter path is on (see
-    /// [`EngineConfig::columnar_enabled`]).
-    pub fn columnar_enabled(&self) -> bool {
-        self.inner.config.columnar_enabled
     }
 
     /// Records a columnar sidecar build in

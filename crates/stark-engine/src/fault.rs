@@ -242,8 +242,9 @@ impl FaultInjector {
 }
 
 /// splitmix64 finaliser — decorrelates the fault draw from raw indices.
-/// Crate-visible: the executor's retry-backoff jitter and the worker
-/// pool's respawn jitter reuse it for deterministic draws.
+/// Crate-visible: the executor's retry-backoff jitter, the worker
+/// pool's respawn jitter and `Rdd::sample` reuse it for deterministic
+/// draws.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;

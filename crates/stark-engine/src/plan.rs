@@ -72,17 +72,6 @@ pub enum PlanOp {
     MapPartitions { op: String, arg: Value },
 }
 
-impl PlanOp {
-    fn name(&self) -> &str {
-        match self {
-            PlanOp::Map { op, .. }
-            | PlanOp::Filter { op, .. }
-            | PlanOp::FlatMap { op, .. }
-            | PlanOp::MapPartitions { op, .. } => op,
-        }
-    }
-}
-
 /// Terminal operation of a plan fragment.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum PlanSink {
@@ -550,7 +539,6 @@ impl<T: StoreData> OpRegistry<T> {
                     Self::resolve("map_partitions", &self.map_partitions, op, arg).map(|_| ())?
                 }
             }
-            let _ = op.name();
         }
         match &fragment.sink {
             PlanSink::CollectWith { op, arg } => {

@@ -25,6 +25,7 @@ use crate::context::Context;
 use crate::executor;
 use crate::executor::TaskAbort;
 pub use crate::executor::{TaskError, TaskErrorKind};
+use crate::fault::splitmix64;
 use crate::memory::{MemoryReservation, VictimState};
 use crate::partition::Partition;
 use crate::storage::{ObjectStore, StorageError};
@@ -1268,15 +1269,6 @@ impl<T: Data> Rdd<T> {
             data.into_iter().enumerate().map(|(j, t)| (base + j as u64, t)).collect()
         })
     }
-}
-
-/// splitmix64 step — a tiny, high-quality PRNG for sampling.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl<T: StoreData + Hash + Eq> Rdd<T> {

@@ -254,3 +254,35 @@ fn concurrent_sessions_share_the_cache() {
     assert!(misses <= 8, "at most one miss per distinct shape race, got {misses}");
     assert!(hits >= 32, "all repeats hit, got {hits}");
 }
+
+/// Closed-loop sessions of literal-varying `FILTER … LIMIT … DUMP`
+/// requests (the template the `service` benchmark workload sends) against
+/// a shallow queue: every request is answered `Ok` or with a typed
+/// `Overloaded`, never with an untyped failure.
+#[test]
+fn closed_loop_sessions_get_ok_or_typed_overloaded() {
+    let config = ServerConfig { workers: 2, max_queue_depth: 2, ..ServerConfig::default() };
+    let server = start_server(config, 500);
+    let addr = server.addr();
+    let sessions: Vec<_> = (0..4)
+        .map(|s| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                (0..3)
+                    .map(|r| {
+                        let t = (s * 31 + r * 7) % 97;
+                        let script = format!("f = FILTER ev BY t == {t};\nx = LIMIT f 5;\nDUMP x;");
+                        c.query("default", &script, None).expect("typed response")
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let responses: Vec<Response> = sessions.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    assert_eq!(responses.len(), 12);
+    assert!(
+        responses.iter().all(|r| matches!(r, Response::Ok { .. } | Response::Overloaded { .. })),
+        "only Ok or Overloaded: {responses:?}"
+    );
+    assert!(responses.iter().any(|r| matches!(r, Response::Ok { .. })), "none succeeded");
+}

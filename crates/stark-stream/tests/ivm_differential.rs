@@ -21,9 +21,9 @@ use stark::{DataSummary, GridPartitioner, STObject, STPredicate, SpatialPartitio
 use stark_engine::{Context, EngineConfig, FaultInjector};
 use stark_geo::{Coord, Envelope};
 use stark_stream::{
-    ContinuousQueryEngine, Delta, DeltaVecSource, JoinEmission, JoinSpec, LatePolicy, MemorySink,
-    MemorySinkState, PipelineMode, QueryOutput, ShedPolicy, Sink, StandingQuery, StatelessOp,
-    StreamConfig, StreamContext, StreamJob, StreamReport, WindowSpec,
+    ContinuousQueryEngine, Delta, DeltaVecSource, GeneratorSource, JoinEmission, JoinSpec,
+    LatePolicy, MemorySink, MemorySinkState, PipelineMode, QueryOutput, ShedPolicy, Sink, Source,
+    StandingQuery, StatelessOp, StreamConfig, StreamContext, StreamJob, StreamReport, WindowSpec,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -327,6 +327,55 @@ fn retraction_edge_cases_agree() {
     // discarded as late by both paths
     let w0 = inc.1.windows.iter().find(|w| w.start == 0).expect("window [0,100) fired");
     assert_eq!(w0.count, 2, "one twin retracted; the other twin and record 2 survive");
+}
+
+/// A standing join alone over an insert-only drifting-hotspot stream
+/// (the shape the `stream` benchmark workload replays): both modes hold
+/// the same non-empty pairs after every batch, and neither ever emits a
+/// retraction.
+#[test]
+fn insert_only_join_agrees_without_retractions() {
+    let mut source = GeneratorSource::new(42, space(), 6, 1_000, 250).with_drifting_hotspot(0.25);
+    let mut script: Vec<Delta<u64>> = Vec::new();
+    while let Some(batch) = source.next_batch(300) {
+        script.push(Delta::from_inserts(batch.into_iter().map(|(o, (id, _))| (o, id)).collect()));
+    }
+    let run = |mode: PipelineMode| {
+        let sc = StreamContext::with_config(
+            Context::with_parallelism(2),
+            StreamConfig {
+                batch_records: 300,
+                channel_capacity: 2,
+                parallelism: 2,
+                ..Default::default()
+            },
+        );
+        let join = JoinSpec::new(
+            "near-pairs",
+            Arc::new(|_: &STObject, v: &u64| v.is_multiple_of(2)),
+            Arc::new(|_: &STObject, v: &u64| !v.is_multiple_of(2)),
+            STPredicate::within_distance(1.0),
+            partitioner(),
+            8,
+        );
+        let sink = MemorySink::new();
+        let job = StreamJob::new().with_mode(mode).with_join(join).with_sink(sink.clone());
+        let report = sc.run(DeltaVecSource::new(script.clone()), job);
+        let state = sink.state().clone();
+        (report, state)
+    };
+    let (rec_report, rec_state) = run(PipelineMode::Recompute);
+    let (inc_report, inc_state) = run(PipelineMode::Incremental);
+
+    assert_eq!(rec_report.total_records(), 1_800);
+    assert_eq!(inc_report.total_records(), 1_800);
+    let standing = standing_join_by_batch(&inc_state);
+    assert_eq!(standing_join_by_batch(&rec_state), standing);
+    assert!(standing.last().is_some_and(|(_, pairs)| !pairs.is_empty()), "the join found no pairs");
+    for (report, state) in [(&rec_report, &rec_state), (&inc_report, &inc_state)] {
+        assert_eq!(report.retractions_emitted(), 0, "insert-only stream");
+        assert!(state.joins.iter().all(|(_, e)| e.retracted() == 0));
+    }
 }
 
 /// Live shedding on the incremental path: nondeterministic races make a

@@ -10,15 +10,15 @@
 //!    one reassignment, never more),
 //! 3. exactly one worker was lost.
 //!
-//! The kill lands mid-shuffle (stage-1 task frame) in one test and
-//! mid-checkpoint in another; the property test additionally draws the
-//! data seed, worker count and predicate from proptest. Set
-//! `STARK_CHAOS_SEED=<u64>` to replay the end-to-end tests with a
-//! different dataset seed (CI pins one).
+//! The kill lands mid-shuffle (stage-1 task frame) in the filter and
+//! partitioner-balance tests and mid-checkpoint in another; the property
+//! test additionally draws the data seed, worker count and predicate
+//! from proptest. Set `STARK_CHAOS_SEED=<u64>` to replay the end-to-end
+//! tests with a different dataset seed (CI pins one).
 
 use proptest::prelude::*;
 use stark::distributed::{self_join_pairs, to_arg, EventRow, SelfJoinArg, StFilterArg};
-use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
+use stark::{BspPartitioner, DataSummary, GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{
     decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
 };
@@ -53,10 +53,20 @@ fn events(seed: u64, n: usize) -> Vec<EventRow> {
     g.clustered_points(n, 10, 8.0, &space()).iter().map(|e| e.to_pair()).collect()
 }
 
+fn summary_of(data: &[EventRow]) -> DataSummary {
+    data.iter().map(|(o, _)| (o.envelope(), o.centroid())).collect()
+}
+
 fn grid_for(data: &[EventRow]) -> GridPartitioner {
-    let summary: stark::DataSummary =
-        data.iter().map(|(o, _)| (o.envelope(), o.centroid())).collect();
-    GridPartitioner::build(4, &summary)
+    GridPartitioner::build(4, &summary_of(data))
+}
+
+/// A partitioner as the workers resolve it: registered name, serialized
+/// form, partition count.
+type Routing = (&'static str, serde_json::Value, usize);
+
+fn grid_routing(grid: &GridPartitioner) -> Routing {
+    ("grid", to_arg(grid), grid.num_partitions())
 }
 
 fn kill_pool(workers: usize) -> (WorkerPool, Arc<TransportChaos>) {
@@ -67,13 +77,14 @@ fn kill_pool(workers: usize) -> (WorkerPool, Arc<TransportChaos>) {
     (WorkerPool::spawn(cfg).expect("spawn chaos pool"), chaos)
 }
 
-/// Shuffle `data` through the grid partitioner inside the workers, then
-/// run `ops`+`sink` per partition over the fetched buckets. The chaos
-/// policy (if any) strikes the first map-stage dispatch: mid-shuffle.
+/// Shuffle `data` through the `routing` partitioner inside the workers,
+/// then run `ops`+`sink` per partition over the fetched buckets. The
+/// chaos policy (if any) strikes the first map-stage dispatch:
+/// mid-shuffle.
 fn two_stage(
     pool: &mut WorkerPool,
     data: &[EventRow],
-    grid: &GridPartitioner,
+    (partitioner, partitioner_arg, num_partitions): Routing,
     tasks: usize,
     ops: Vec<PlanOp>,
     sink: PlanSink,
@@ -95,9 +106,9 @@ fn two_stage(
         .collect();
     let spec = ShuffleSpec {
         mode: ShuffleMode::Remote,
-        partitioner: "grid".into(),
-        partitioner_arg: to_arg(grid),
-        num_partitions: grid.num_partitions(),
+        partitioner: partitioner.into(),
+        partitioner_arg,
+        num_partitions,
         prefix: "dc/s0".into(),
         reduce_ops: ops,
         reduce_sink: sink,
@@ -158,10 +169,41 @@ fn worker_kill_mid_shuffle_keeps_the_filter_byte_identical() {
         op: "st_filter".into(),
         arg: to_arg(&StFilterArg { query: q, predicate: STPredicate::ContainedBy }),
     };
-    let results = two_stage(&mut pool, &data, &grid, 8, vec![filter], PlanSink::Collect);
+    let results =
+        two_stage(&mut pool, &data, grid_routing(&grid), 8, vec![filter], PlanSink::Collect);
     assert_eq!(sorted_ids(&results), reference, "recovery must be invisible in the results");
     assert_exactly_one_kill(&pool, &chaos);
     pool.shutdown();
+}
+
+/// A2 across the process boundary: rows routed inside the workers all
+/// arrive, and the cost-based BSP partitioner balances the clustered
+/// events better than the fixed grid, with a worker killed mid-shuffle
+/// in both runs.
+#[test]
+fn worker_kill_mid_shuffle_keeps_bsp_better_balanced_than_grid() {
+    let data = events(chaos_seed(), 2_000);
+    let bsp = BspPartitioner::build(data.len() / 64, 4.0, &summary_of(&data));
+    // max partition size over mean partition size
+    let imbalance = |routing: Routing| {
+        let (mut pool, chaos) = kill_pool(4);
+        let results = two_stage(&mut pool, &data, routing, 8, Vec::new(), PlanSink::Count);
+        assert_exactly_one_kill(&pool, &chaos);
+        pool.shutdown();
+        let counts: Vec<u64> = results
+            .iter()
+            .map(|r| match r.output {
+                TaskOutput::Count(c) => c,
+                ref other => panic!("expected a partition count, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(counts.iter().sum::<u64>(), data.len() as u64, "routing lost rows");
+        let max = counts.iter().copied().max().unwrap_or(0) as f64;
+        max * counts.len() as f64 / data.len() as f64
+    };
+    let grid = imbalance(grid_routing(&grid_for(&data)));
+    let bsp = imbalance(("bsp", to_arg(&bsp), bsp.num_partitions()));
+    assert!(bsp < grid, "bsp imbalance {bsp:.2} should be under grid imbalance {grid:.2}");
 }
 
 #[test]
@@ -237,7 +279,7 @@ proptest! {
             op: "self_join_pairs".into(),
             arg: to_arg(&SelfJoinArg { predicate: pred }),
         };
-        let results = two_stage(&mut pool, &data, &grid, workers * 2, Vec::new(), sink);
+        let results = two_stage(&mut pool, &data, grid_routing(&grid), workers * 2, Vec::new(), sink);
         let mut pairs: Vec<(u64, u64)> = results
             .iter()
             .flat_map(|r| match &r.output {

@@ -6,9 +6,8 @@
 //!
 //! 1. the remote shuffle is **byte-identical** to the same plan run
 //!    in-process (rows routed by the same partitioner in map-task
-//!    order, reduce fragment run per partition) on the S14 workload set
-//!    (A1 filter and F4 self-join over grid-routed events), faults or no
-//!    faults;
+//!    order, reduce fragment run per partition) on the A1 filter and the
+//!    F4 self-join over grid-routed events, faults or no faults;
 //! 2. killing a worker after it produced map outputs yields the
 //!    byte-identical final result with `map_outputs_regenerated ==
 //!    map_outputs_lost` — every lost output is re-produced via lineage

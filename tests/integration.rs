@@ -346,3 +346,32 @@ fn voronoi_geospark_pipeline() {
     let stark = data.spatial().self_join(STPredicate::Intersects, JoinConfig::default());
     assert_eq!(joined.count(), stark.count());
 }
+
+/// `repro` refuses a size it cannot parse instead of silently running
+/// the default scale, and names the argument it rejected.
+#[test]
+fn repro_rejects_an_unparsable_size() {
+    let repro = || std::process::Command::new(env!("CARGO_BIN_EXE_repro"));
+    let out = repro().args(["features", "20k"]).output().expect("run repro");
+    assert_eq!(out.status.code(), Some(2), "unparsable size must exit 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("\"20k\""), "names the argument");
+
+    let out = repro().arg("features").output().expect("run repro");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("persistent indexing"));
+}
+
+/// Experiments whose paths the repo benchmark measures are gone from
+/// `repro`: naming one is an unknown experiment.
+#[test]
+fn repro_lists_experiments_for_a_retired_name() {
+    for name in ["columnar", "ivm", "distributed", "service"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(name)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{name} must be unknown");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("try: all, features"), "{name}: {stderr}");
+    }
+}
