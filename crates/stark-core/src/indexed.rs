@@ -17,8 +17,8 @@ use crate::spatial_rdd::{PartitioningInfo, SpatialRdd};
 use crate::stobject::STObject;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use stark_engine::{Context, Data, ObjectStore, Rdd, StoreData};
-use stark_geo::DistanceFn;
+use stark_engine::{Context, Data, ObjectStore, Partition, Rdd, StoreData};
+use stark_geo::{DistanceFn, Envelope};
 use stark_index::{Entry, StrTree};
 use std::sync::Arc;
 
@@ -71,6 +71,31 @@ impl<V: Data> SpatialRdd<V> {
     }
 }
 
+/// One index-accelerated filter: the tree probe and the exact predicate
+/// that refines its candidates.
+struct IndexHits {
+    probe: Envelope,
+    pred: STPredicate,
+    query: STObject,
+}
+
+impl IndexHits {
+    /// Calls `f` on every record of `trees` the filter selects.
+    fn for_each<V>(
+        &self,
+        trees: &[Arc<StrTree<(STObject, V)>>],
+        mut f: impl FnMut(&(STObject, V)),
+    ) {
+        for tree in trees {
+            tree.for_each_candidate(&self.probe, &mut |entry| {
+                if self.pred.eval(&entry.item.0, &self.query) {
+                    f(&entry.item);
+                }
+            });
+        }
+    }
+}
+
 impl<V: Data> IndexedSpatialRdd<V> {
     /// The per-partition trees as an engine dataset.
     pub fn trees(&self) -> &Rdd<Arc<StrTree<(STObject, V)>>> {
@@ -103,26 +128,31 @@ impl<V: Data> IndexedSpatialRdd<V> {
     /// Index-accelerated filter: prunes partitions by extent, probes each
     /// surviving tree for MBR candidates, then refines with the exact
     /// spatio-temporal predicate (temporal check included — the paper's
-    /// candidate-pruning step).
+    /// candidate-pruning step). `count()` on the result only counts the
+    /// hits per task; computing a partition clones them.
     pub fn filter(&self, query: &STObject, pred: STPredicate) -> Rdd<(STObject, V)> {
         let masked = match &self.partitioning {
             Some(info) => self.trees.with_partition_mask(info.mask_for(&pred, query)),
             None => self.trees.clone(),
         };
-        let probe = pred.index_probe(query);
-        let q = query.clone();
-        masked.map_partitions(move |trees| {
-            let mut out = Vec::new();
-            for tree in trees {
-                tree.for_each_candidate(&probe, &mut |entry| {
-                    let (o, v) = &entry.item;
-                    if pred.eval(o, &q) {
-                        out.push((o.clone(), v.clone()));
-                    }
-                });
-            }
-            out
-        })
+        let hits =
+            Arc::new(IndexHits { probe: pred.index_probe(query), pred, query: query.clone() });
+        let count_hits = hits.clone();
+        let ctx = self.trees.context().clone();
+        masked.map_partition_handles_counted(
+            format!("IndexFilter[{pred}]"),
+            move |_, trees| {
+                let mut out = Vec::new();
+                hits.for_each(&trees, |(o, v)| out.push((o.clone(), v.clone())));
+                ctx.note_records_cloned(out.len() as u64);
+                Partition::from_vec(out)
+            },
+            move |_, trees| {
+                let mut n = 0usize;
+                count_hits.for_each(&trees, |_| n += 1);
+                n
+            },
+        )
     }
 
     /// Convenience: `filter(query, Intersects)` — the paper's

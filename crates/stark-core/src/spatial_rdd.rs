@@ -11,7 +11,7 @@ use crate::partitioner::{PartitionCell, SpatialPartitioner};
 use crate::predicate::STPredicate;
 use crate::stobject::STObject;
 use crate::temporal::TemporalExtent;
-use stark_engine::{Data, Partition, Rdd, StoreData};
+use stark_engine::{Context, Data, Partition, Rdd, StoreData};
 use stark_geo::kernels::SelectionBitmap;
 use stark_geo::{DistanceFn, Envelope};
 use std::sync::{Arc, OnceLock};
@@ -61,7 +61,10 @@ impl PartitioningInfo {
 /// (or reuses) the partition's [`ColumnarBatch`] and narrows a single
 /// [`SelectionBitmap`] across all predicates — filter→filter chains
 /// evaluate without re-materialising rows in between, with results
-/// byte-identical to evaluating each predicate row by row.
+/// byte-identical to evaluating each predicate row by row. The node has
+/// two consumers of that one evaluation: `count()` sums the bitmap's
+/// bits per task and clones no row, and computing a partition gathers
+/// the selected rows.
 pub struct SpatialRdd<V: Data> {
     base: Rdd<(STObject, V)>,
     partitioning: Option<Arc<PartitioningInfo>>,
@@ -114,6 +117,32 @@ impl<V: Data> SpatialRddExt<V> for Rdd<(STObject, V)> {
     }
 }
 
+/// The one evaluation of a lowered filter chain over one partition:
+/// builds (or reuses) the partition's [`ColumnarBatch`] and narrows one
+/// [`SelectionBitmap`] across every predicate, refining undecided lanes
+/// row by row. Both consumers of the `ColumnarFilter[..]` node call it.
+fn select_chain<V: Data>(
+    ctx: &Context,
+    chain: &[(STPredicate, STObject)],
+    part: &Partition<(STObject, V)>,
+) -> (Arc<ColumnarBatch>, SelectionBitmap) {
+    let rows = part.as_slice();
+    let batch = part.to_columns(|rows| {
+        ctx.note_columnar_batch_built();
+        ColumnarBatch::build(rows)
+    });
+    let mut sel = SelectionBitmap::all_set(batch.len());
+    for (pred, query) in chain {
+        let live = sel.count();
+        if live == 0 {
+            break;
+        }
+        ctx.note_rows_scanned_columnar(live as u64);
+        batch.apply_filter(pred, query, &mut sel, |i| pred.eval(&rows[i].0, query));
+    }
+    (batch, sel)
+}
+
 impl<V: Data> SpatialRdd<V> {
     /// Internal constructor preserving partitioning metadata across
     /// structure-preserving transformations.
@@ -138,8 +167,8 @@ impl<V: Data> SpatialRdd<V> {
 
     /// Lowers `base` + the pending predicate chain into an engine
     /// dataset: one partition-mask stage (pruning metric included) and
-    /// one `ColumnarFilter[..]` operator evaluating the whole chain over
-    /// the partition's cached [`ColumnarBatch`].
+    /// one counted `ColumnarFilter[..]` operator evaluating the whole
+    /// chain over the partition's cached [`ColumnarBatch`].
     fn lower(&self) -> Rdd<(STObject, V)> {
         if self.pending.is_empty() {
             return self.base.clone();
@@ -149,30 +178,24 @@ impl<V: Data> SpatialRdd<V> {
             None => self.base.clone(),
         };
         let ctx = self.base.context().clone();
-        let chain = self.pending.clone();
+        let chain: Arc<[(STPredicate, STObject)]> = self.pending.clone().into();
         let label = format!(
             "ColumnarFilter[{}]",
             chain.iter().map(|(p, _)| p.to_string()).collect::<Vec<_>>().join("→")
         );
-        masked.map_partition_handles(label, move |_, part: Partition<(STObject, V)>| {
-            let rows = part.as_slice();
-            let batch = part.to_columns(|rows| {
-                ctx.note_columnar_batch_built();
-                ColumnarBatch::build(rows)
-            });
-            let mut sel = SelectionBitmap::all_set(batch.len());
-            for (pred, query) in &chain {
-                let live = sel.count();
-                if live == 0 {
-                    break;
-                }
-                ctx.note_rows_scanned_columnar(live as u64);
-                batch.apply_filter(pred, query, &mut sel, |i| pred.eval(&rows[i].0, query));
-            }
-            let mut out = Vec::with_capacity(sel.count());
-            sel.for_each_set(|lane| out.push(rows[batch.payload_index(lane)].clone()));
-            Partition::from_vec(out)
-        })
+        let (count_ctx, count_chain) = (ctx.clone(), chain.clone());
+        masked.map_partition_handles_counted(
+            label,
+            move |_, part: Partition<(STObject, V)>| {
+                let (batch, sel) = select_chain(&ctx, &chain, &part);
+                let rows = part.as_slice();
+                let mut out = Vec::with_capacity(sel.count());
+                sel.for_each_set(|lane| out.push(rows[batch.payload_index(lane)].clone()));
+                ctx.note_records_cloned(out.len() as u64);
+                Partition::from_vec(out)
+            },
+            move |_, part| select_chain(&count_ctx, &count_chain, &part).1.count(),
+        )
     }
 
     /// Partitioning metadata, when spatially partitioned.

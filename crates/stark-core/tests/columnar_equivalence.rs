@@ -7,14 +7,18 @@
 //! inputs, and runs under the seeded fault injector. The reference is a
 //! plain `Rdd::filter` over the same dataset with no partition mask, so
 //! agreement also shows that partition pruning never drops a match.
+//! Every count action on the chain (which reads the selection bitmap
+//! and gathers no rows) must equal the reference's length.
 
 use proptest::prelude::*;
 use stark::{
-    GridPartitioner, STObject, STPredicate, SpatialPartitioner, SpatialRddExt, StarkError, Temporal,
+    GridPartitioner, IndexedSpatialRdd, STObject, STPredicate, SpatialPartitioner, SpatialRddExt,
+    StarkError, Temporal,
 };
-use stark_engine::{Context, EngineConfig, FaultInjector, TaskErrorKind};
+use stark_engine::{Context, EngineConfig, FaultInjector, ObjectStore, TaskErrorKind};
 use stark_geo::{Coord, DistanceFn, Geometry};
 use std::sync::Arc;
+use std::time::Duration;
 
 type Row = (STObject, u32);
 
@@ -28,14 +32,24 @@ fn make_ctx(injector: Option<Arc<FaultInjector>>) -> Context {
     })
 }
 
-/// Runs `chain` as successive `filter` calls and materialises the
-/// result, together with the row reference over the same dataset.
+/// What one run of a filter chain produced: the collected rows, the
+/// row reference over the same dataset, and the chain's three count
+/// actions (`count()`, `count_per_partition()` summed,
+/// `count_with_deadline(..)`), which never gather rows.
+struct ChainRun {
+    rows: Vec<Row>,
+    reference: Vec<Row>,
+    counts: [usize; 3],
+}
+
+/// Runs `chain` as successive `filter` calls, then counts and
+/// materialises the result, together with the row reference.
 fn run_chain(
     injector: Option<Arc<FaultInjector>>,
     data: &[Row],
     chain: &[(STPredicate, STObject)],
     partitioned: bool,
-) -> (Vec<Row>, Vec<Row>) {
+) -> ChainRun {
     let ctx = make_ctx(injector);
     let mut s = ctx.parallelize(data.to_vec(), 4).spatial();
     if partitioned {
@@ -47,18 +61,26 @@ fn run_chain(
     for (pred, q) in chain {
         s = s.filter(q, *pred);
     }
-    (s.collect(), reference)
+    let counts = [
+        s.count(),
+        s.rdd().count_per_partition().into_iter().sum(),
+        s.rdd().count_with_deadline(Duration::from_secs(60)).expect("count within deadline"),
+    ];
+    ChainRun { rows: s.collect(), reference, counts }
 }
 
 fn assert_paths_agree(data: &[Row], chain: &[(STPredicate, STObject)], partitioned: bool) {
-    let (col, row) = run_chain(None, data, chain, partitioned);
-    assert_eq!(col, row, "columnar and row paths diverged (partitioned={partitioned})");
+    let plain = run_chain(None, data, chain, partitioned);
+    let row = &plain.reference;
+    assert_eq!(&plain.rows, row, "columnar and row paths diverged (partitioned={partitioned})");
+    assert_eq!(plain.counts, [row.len(); 3], "counts diverged (partitioned={partitioned})");
     // and under injected transient faults (PR 3 chaos harness): retries
-    // must reproduce the same bytes on both paths
+    // must reproduce the same bytes and counts on both paths
     let chaos = Some(Arc::new(FaultInjector::transient(0xC0_1A12, 0.15)));
-    let (col_chaos, row_chaos) = run_chain(chaos, data, chain, partitioned);
-    assert_eq!(row_chaos, row, "row path not fault-transparent");
-    assert_eq!(col_chaos, row, "columnar path not fault-transparent");
+    let faulted = run_chain(chaos, data, chain, partitioned);
+    assert_eq!(&faulted.reference, row, "row path not fault-transparent");
+    assert_eq!(&faulted.rows, row, "columnar path not fault-transparent");
+    assert_eq!(faulted.counts, [row.len(); 3], "columnar counts not fault-transparent");
 }
 
 fn temporal_strategy() -> impl Strategy<Value = Option<Temporal>> {
@@ -246,6 +268,77 @@ fn columnar_metrics_report_batches_and_rows() {
     assert!(n > 0);
     assert!(delta.columnar_batches_built > 0, "no batches built: {delta:?}");
     assert_eq!(delta.rows_scanned_columnar, 80, "every row scanned columnar once");
+}
+
+/// `count()` on a filter sums selection bits and clones no row;
+/// `collect()` clones exactly the matches. Both run the same chain
+/// evaluation, so they scan and prune identically.
+#[test]
+fn count_clones_no_rows_and_collect_clones_the_matches() {
+    let data: Vec<Row> =
+        (0..400).map(|i| (STObject::point((i % 20) as f64, (i / 20) as f64), i as u32)).collect();
+    let ctx = make_ctx(None);
+    let s = ctx.parallelize(data, 4).spatial();
+    let s = s.partition_by(Arc::new(GridPartitioner::build(3, &s.summarize())));
+    let q = STObject::new(Geometry::rect(0.5, 0.5, 6.5, 6.5));
+    let near = STPredicate::WithinDistance { max_dist: 4.0, dist_fn: DistanceFn::Euclidean };
+    let filtered = s.filter(&q, STPredicate::ContainedBy).filter(&STObject::point(2.0, 2.0), near);
+    filtered.count(); // build every partition's batch before measuring
+
+    let before = ctx.metrics();
+    let n = filtered.count();
+    let counted = ctx.metrics().diff(&before);
+    let before = ctx.metrics();
+    let rows = filtered.collect();
+    let collected = ctx.metrics().diff(&before);
+
+    assert!(n > 0 && n < 400, "the chain must select a strict subset: {n}");
+    assert_eq!(rows.len(), n);
+    assert_eq!(counted.records_cloned, 0, "count() cloned rows: {counted:?}");
+    assert_eq!(collected.records_cloned, n as u64, "collect() clones each match once");
+    assert!(counted.partitions_pruned > 0, "the query must prune: {counted:?}");
+    assert_eq!(counted.partitions_pruned, collected.partitions_pruned);
+    assert_eq!(counted.rows_scanned_columnar, collected.rows_scanned_columnar);
+    assert!(counted.rows_scanned_columnar > 0);
+}
+
+/// The live and the persistent index answer `count()` with the length
+/// of what they collect, and agree with the columnar filter.
+#[test]
+fn indexed_filter_count_equals_collect_in_both_index_modes() {
+    let data: Vec<Row> = (0..300)
+        .map(|i| (STObject::point_at((i % 20) as f64, (i / 20) as f64, i as i64), i as u32))
+        .collect();
+    let ctx = make_ctx(None);
+    let s = ctx.parallelize(data, 4).spatial();
+    let s = s.partition_by(Arc::new(GridPartitioner::build(3, &s.summarize())));
+    let live = s.live_index(5);
+    let dir = std::env::temp_dir().join(format!("stark-count-index-{}", std::process::id()));
+    let store = ObjectStore::open(&dir).expect("object store");
+    live.persist(&store, "idx").expect("persist index");
+    let persistent = IndexedSpatialRdd::<u32>::load(&ctx, &store, "idx").expect("load index");
+
+    let timed = STObject::from_wkt_interval("POLYGON((2 2, 9 2, 9 9, 2 9, 2 2))", 0, 120).unwrap();
+    let near = STPredicate::WithinDistance { max_dist: 3.0, dist_fn: DistanceFn::Euclidean };
+    let cases = [
+        (STPredicate::ContainedBy, timed.clone()),
+        (STPredicate::Intersects, timed),
+        (near, STObject::point(10.0, 5.0)),
+    ];
+    for (pred, q) in &cases {
+        let expected = s.filter(q, *pred).count();
+        assert!(expected > 0, "{pred} must match something");
+        for (mode, index) in [("live", &live), ("persistent", &persistent)] {
+            let hits = index.filter(q, *pred);
+            let before = ctx.metrics();
+            assert_eq!(hits.count(), expected, "{mode} {pred}: count");
+            assert_eq!(ctx.metrics().diff(&before).records_cloned, 0, "{mode}: count cloned");
+            let before = ctx.metrics();
+            assert_eq!(hits.collect().len(), expected, "{mode} {pred}: collect");
+            assert_eq!(ctx.metrics().diff(&before).records_cloned, expected as u64);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite regression: NaN / infinite centroids are rejected with a

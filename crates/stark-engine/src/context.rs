@@ -184,6 +184,15 @@ impl Context {
         self.inner.metrics.inc_rows_scanned_columnar(n);
     }
 
+    /// Records `n` rows deep-cloned out of a shared partition in
+    /// [`MetricsSnapshot::records_cloned`](crate::MetricsSnapshot).
+    /// Called by consumers that gather rows by reference (the spatial
+    /// filter chain, the index probe) rather than through the engine's
+    /// own counted conversions.
+    pub fn note_records_cloned(&self, n: u64) {
+        self.inner.metrics.inc_records_cloned(n);
+    }
+
     /// The per-task retry budget (see [`EngineConfig::max_task_retries`]).
     pub fn max_task_retries(&self) -> u32 {
         self.inner.config.max_task_retries

@@ -204,12 +204,17 @@ pub fn abort_invalid_record(message: impl Into<String>) -> ! {
     std::panic::panic_any(TaskAbort { kind: TaskErrorKind::InvalidRecord, message: message.into() })
 }
 
+/// Evaluates one input partition: `(partition index, input)`.
+type HandleFn<T, R> = Arc<dyn Fn(usize, Partition<T>) -> R + Send + Sync>;
+
 /// Whole-partition narrow node that stands as its own lineage step
 /// (see [`Rdd::map_partition_handles`]).
 struct MapPartitionsRdd<T: Data, U: Data> {
     parent: Arc<dyn RddImpl<T>>,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(usize, Partition<T>) -> Partition<U> + Send + Sync>,
+    f: HandleFn<T, Partition<U>>,
+    /// Counts one partition's output without building it (see
+    /// [`Rdd::map_partition_handles_counted`]).
+    count: Option<HandleFn<T, usize>>,
 }
 
 impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
@@ -221,6 +226,14 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
     }
     fn evict(&self, partition: usize) {
         self.parent.evict(partition)
+    }
+    fn counter(&self) -> Option<Arc<dyn RddImpl<usize>>> {
+        let count = self.count.clone()?;
+        Some(Arc::new(MapPartitionsRdd {
+            parent: self.parent.clone(),
+            f: Arc::new(move |p, part| Partition::from_vec(vec![count(p, part)])),
+            count: None,
+        }))
     }
 }
 
@@ -819,7 +832,33 @@ impl<T: Data> Rdd<T> {
         op: impl Into<String>,
         f: impl Fn(usize, Partition<T>) -> Partition<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
-        self.derive(op, Arc::new(MapPartitionsRdd { parent: self.inner.clone(), f: Arc::new(f) }))
+        self.derive(
+            op,
+            Arc::new(MapPartitionsRdd { parent: self.inner.clone(), f: Arc::new(f), count: None }),
+        )
+    }
+
+    /// [`Rdd::map_partition_handles`] with a *counter*: `count(p, input)`
+    /// must equal the length of `f(p, input)`. Computing a partition
+    /// runs `f`; [`Rdd::count`], [`Rdd::count_per_partition`] and
+    /// [`Rdd::count_with_deadline`] on the result run only `count` per
+    /// task over the same parent, so a counted node never builds its
+    /// output. Any further transformation sees `f`'s output, as with
+    /// any other node.
+    pub fn map_partition_handles_counted<U: Data>(
+        &self,
+        op: impl Into<String>,
+        f: impl Fn(usize, Partition<T>) -> Partition<U> + Send + Sync + 'static,
+        count: impl Fn(usize, Partition<T>) -> usize + Send + Sync + 'static,
+    ) -> Rdd<U> {
+        self.derive(
+            op,
+            Arc::new(MapPartitionsRdd {
+                parent: self.inner.clone(),
+                f: Arc::new(f),
+                count: Some(Arc::new(count)),
+            }),
+        )
     }
 
     /// Concatenation of the two datasets' partition lists.
@@ -1113,7 +1152,8 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Element count of every partition, as one job. A node that can
-    /// count without building its output (a matcher-driven join) runs
+    /// count without building its output (a matcher-driven join, a
+    /// [`Rdd::map_partition_handles_counted`] node) runs
     /// its counter node instead — same retries, speculation, faults and
     /// deadlines, no rows.
     fn try_count_per_partition(&self) -> Result<Vec<usize>, TaskError> {
@@ -1786,6 +1826,67 @@ mod tests {
         assert_eq!(delta.tasks_launched, 9, "one counting task per partition pair per job");
         // a further transformation counts the rows it is given
         assert_eq!(joined.map(|(x, y)| x + y).count(), 3);
+    }
+
+    #[test]
+    fn counted_handles_count_through_the_parent_after_a_fault() {
+        use crate::fault::{FaultInjector, FaultPolicy, FaultScope};
+        // every job's first attempt at partition 1 panics before computing
+        let chaos =
+            Arc::new(FaultInjector::new(5, FaultScope::Partition(1), FaultPolicy::Transient));
+        let c = Context::with_config(EngineConfig {
+            parallelism: 2,
+            default_partitions: 2,
+            fault_injector: Some(chaos.clone()),
+            ..EngineConfig::default()
+        });
+        let parent_runs = Arc::new(AtomicUsize::new(0));
+        let pr = parent_runs.clone();
+        let cached = c
+            .parallelize((0..8).collect::<Vec<i32>>(), 4)
+            .map(move |x| {
+                pr.fetch_add(1, Ordering::SeqCst);
+                x
+            })
+            .cache();
+        assert_eq!(cached.count(), 8);
+        assert_eq!(parent_runs.load(Ordering::SeqCst), 8);
+
+        let (builds, counts) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (b, n) = (builds.clone(), counts.clone());
+        let evens = cached.map_partition_handles_counted(
+            "Evens",
+            move |_, part: Partition<i32>| {
+                b.fetch_add(1, Ordering::SeqCst);
+                Partition::from_vec(part.iter().copied().filter(|x| x % 2 == 0).collect())
+            },
+            move |_, part| {
+                n.fetch_add(1, Ordering::SeqCst);
+                part.iter().filter(|x| *x % 2 == 0).count()
+            },
+        );
+        let before = c.metrics();
+        assert_eq!(evens.count(), 4);
+        assert_eq!(builds.load(Ordering::SeqCst), 0, "count() never builds the output");
+        assert_eq!(counts.load(Ordering::SeqCst), 4, "one counting task per partition");
+        // the faulted task evicted cache cell 1 and recomputed it upstream
+        let delta = c.metrics().diff(&before);
+        assert_eq!(delta.tasks_retried, 1);
+        assert_eq!(delta.partitions_recomputed, 1);
+        assert_eq!(parent_runs.load(Ordering::SeqCst), 10, "cache cell 1 was evicted");
+
+        assert_eq!(evens.count_per_partition(), vec![1, 1, 1, 1]);
+        let deadline = std::time::Duration::from_secs(10);
+        assert_eq!(evens.count_with_deadline(deadline).unwrap(), 4);
+        assert_eq!(builds.load(Ordering::SeqCst), 0);
+        // computing a partition builds it; the counter stays unused
+        assert_eq!(evens.collect(), vec![0, 2, 4, 6]);
+        assert_eq!(builds.load(Ordering::SeqCst), 4);
+        assert_eq!(counts.load(Ordering::SeqCst), 12);
+        // a further transformation counts the rows it is given
+        assert_eq!(evens.map(|x| x + 1).count(), 4);
+        assert_eq!(builds.load(Ordering::SeqCst), 8);
+        assert!(chaos.injected() >= 5, "every job faulted partition 1 once");
     }
 
     #[test]
