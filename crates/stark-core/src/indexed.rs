@@ -139,7 +139,7 @@ impl<V: Data> IndexedSpatialRdd<V> {
             Arc::new(IndexHits { probe: pred.index_probe(query), pred, query: query.clone() });
         let count_hits = hits.clone();
         let ctx = self.trees.context().clone();
-        masked.map_partition_handles_counted(
+        masked.map_partition_handles(
             format!("IndexFilter[{pred}]"),
             move |_, trees| {
                 let mut out = Vec::new();

@@ -184,7 +184,7 @@ impl<V: Data> SpatialRdd<V> {
             chain.iter().map(|(p, _)| p.to_string()).collect::<Vec<_>>().join("→")
         );
         let (count_ctx, count_chain) = (ctx.clone(), chain.clone());
-        masked.map_partition_handles_counted(
+        masked.map_partition_handles(
             label,
             move |_, part: Partition<(STObject, V)>| {
                 let (batch, sel) = select_chain(&ctx, &chain, &part);

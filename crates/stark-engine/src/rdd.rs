@@ -212,8 +212,8 @@ type HandleFn<T, R> = Arc<dyn Fn(usize, Partition<T>) -> R + Send + Sync>;
 struct MapPartitionsRdd<T: Data, U: Data> {
     parent: Arc<dyn RddImpl<T>>,
     f: HandleFn<T, Partition<U>>,
-    /// Counts one partition's output without building it (see
-    /// [`Rdd::map_partition_handles_counted`]).
+    /// Counts one partition's output without building it; `None` only
+    /// on the counter node that [`RddImpl::counter`] builds.
     count: Option<HandleFn<T, usize>>,
 }
 
@@ -817,35 +817,23 @@ impl<T: Data> Rdd<T> {
         })
     }
 
-    /// Whole-partition transformation over shared [`Partition`] handles.
+    /// Whole-partition transformation over shared [`Partition`] handles,
+    /// with a counter.
     ///
-    /// Unlike [`Rdd::map_partitions`], the closure receives the parent's
+    /// Unlike [`Rdd::map_partitions`], the closures receive the parent's
     /// `Partition<T>` handle directly — including any columnar sidecar
-    /// already cached on it via [`Partition::to_columns`] — and returns
-    /// a new handle, so zero-copy consumers (borrow, bitmap-select,
-    /// gather) never materialise an intermediate `Vec`. Like
+    /// already cached on it via [`Partition::to_columns`] — so zero-copy
+    /// consumers (borrow, bitmap-select, gather) never materialise an
+    /// intermediate `Vec`. Computing a partition runs `f`, which returns
+    /// a new handle. `count(p, input)` must equal the length of
+    /// `f(p, input)`: [`Rdd::count`], [`Rdd::count_per_partition`] and
+    /// [`Rdd::count_with_deadline`] on the result run only `count` per
+    /// task over the same parent, so a count never builds the output.
+    /// Any further transformation sees `f`'s output. Like
     /// `map_partitions` it acts as a pipeline barrier: it forms its own
     /// node rather than joining a fused chain. `op` becomes the lineage
     /// label.
     pub fn map_partition_handles<U: Data>(
-        &self,
-        op: impl Into<String>,
-        f: impl Fn(usize, Partition<T>) -> Partition<U> + Send + Sync + 'static,
-    ) -> Rdd<U> {
-        self.derive(
-            op,
-            Arc::new(MapPartitionsRdd { parent: self.inner.clone(), f: Arc::new(f), count: None }),
-        )
-    }
-
-    /// [`Rdd::map_partition_handles`] with a *counter*: `count(p, input)`
-    /// must equal the length of `f(p, input)`. Computing a partition
-    /// runs `f`; [`Rdd::count`], [`Rdd::count_per_partition`] and
-    /// [`Rdd::count_with_deadline`] on the result run only `count` per
-    /// task over the same parent, so a counted node never builds its
-    /// output. Any further transformation sees `f`'s output, as with
-    /// any other node.
-    pub fn map_partition_handles_counted<U: Data>(
         &self,
         op: impl Into<String>,
         f: impl Fn(usize, Partition<T>) -> Partition<U> + Send + Sync + 'static,
@@ -1153,7 +1141,7 @@ impl<T: Data> Rdd<T> {
 
     /// Element count of every partition, as one job. A node that can
     /// count without building its output (a matcher-driven join, a
-    /// [`Rdd::map_partition_handles_counted`] node) runs
+    /// [`Rdd::map_partition_handles`] node) runs
     /// its counter node instead — same retries, speculation, faults and
     /// deadlines, no rows.
     fn try_count_per_partition(&self) -> Result<Vec<usize>, TaskError> {
@@ -1854,7 +1842,7 @@ mod tests {
 
         let (builds, counts) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let (b, n) = (builds.clone(), counts.clone());
-        let evens = cached.map_partition_handles_counted(
+        let evens = cached.map_partition_handles(
             "Evens",
             move |_, part: Partition<i32>| {
                 b.fetch_add(1, Ordering::SeqCst);
