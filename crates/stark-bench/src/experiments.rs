@@ -14,7 +14,7 @@ use stark_baselines::{
     broadcast_join, geospark_join, spatialspark_join, GeoSparkConfig, RegionScheme,
 };
 use stark_engine::{
-    Context, EngineConfig, FaultInjector, FaultPolicy, FaultScope, ObjectStore, TaskError,
+    Context, EngineConfig, Fault, FaultPlan, FaultRule, ObjectStore, Scope, TaskError,
 };
 use stark_geo::{Coord, DistanceFn};
 use std::sync::Arc;
@@ -678,7 +678,7 @@ pub fn chaos(parallelism: usize, n: usize, seed: u64) -> Table {
     std::panic::set_hook(Box::new(|_| {}));
     let mut baseline: Option<std::time::Duration> = None;
     for c in configs {
-        let injector = c.faults.then(|| Arc::new(FaultInjector::transient(seed, 0.10)));
+        let injector = c.faults.then(|| Arc::new(FaultPlan::transient(seed, 0.10)));
         let ctx = Context::with_config(EngineConfig {
             parallelism,
             max_task_retries: c.retries,
@@ -821,10 +821,9 @@ pub fn stragglers(parallelism: usize, n: usize, seed: u64) -> Table {
     let mut no_defence: Option<std::time::Duration> = None;
     for c in configs {
         let injector = c.faults.then(|| {
-            Arc::new(FaultInjector::new(
+            Arc::new(FaultPlan::new(
                 seed,
-                FaultScope::Probability(0.15),
-                FaultPolicy::Delay(stall),
+                vec![FaultRule::new(Fault::Delay(stall), Scope::Probability(0.15))],
             ))
         });
         let ctx = Context::with_config(EngineConfig {
@@ -870,7 +869,7 @@ pub fn stragglers(parallelism: usize, n: usize, seed: u64) -> Table {
 /// unbounded to measure its reserved-bytes peak, then re-run under a
 /// budget of a quarter of that peak — shuffle buckets spill to the
 /// object store and cached partitions evict LRU-first — and finally
-/// under [`FaultPolicy::MemoryPressure`] chaos strikes that shrink the
+/// under [`Fault::MemoryPressure`] chaos strikes that shrink the
 /// effective budget mid-job. Output must be identical in every row.
 pub fn memory(parallelism: usize, n: usize, seed: u64) -> Table {
     let mut t = Table::new(
@@ -930,7 +929,7 @@ pub fn memory(parallelism: usize, n: usize, seed: u64) -> Table {
     for c in configs {
         let budget = c.budget.map(|_| (peak / 4).max(1));
         let injector =
-            c.pressure.then(|| Arc::new(FaultInjector::memory_pressure(seed, 0.10, peak / 4)));
+            c.pressure.then(|| Arc::new(FaultPlan::memory_pressure(seed, 0.10, peak / 4)));
         let ctx = Context::with_config(EngineConfig {
             parallelism,
             fault_injector: injector.clone(),

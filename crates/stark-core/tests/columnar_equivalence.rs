@@ -15,14 +15,14 @@ use stark::{
     GridPartitioner, IndexedSpatialRdd, STObject, STPredicate, SpatialPartitioner, SpatialRddExt,
     StarkError, Temporal,
 };
-use stark_engine::{Context, EngineConfig, FaultInjector, ObjectStore, TaskErrorKind};
+use stark_engine::{Context, EngineConfig, FaultPlan, ObjectStore, TaskErrorKind};
 use stark_geo::{Coord, DistanceFn, Geometry};
 use std::sync::Arc;
 use std::time::Duration;
 
 type Row = (STObject, u32);
 
-fn make_ctx(injector: Option<Arc<FaultInjector>>) -> Context {
+fn make_ctx(injector: Option<Arc<FaultPlan>>) -> Context {
     Context::with_config(EngineConfig {
         parallelism: 4,
         default_partitions: 4,
@@ -45,7 +45,7 @@ struct ChainRun {
 /// Runs `chain` as successive `filter` calls, then counts and
 /// materialises the result, together with the row reference.
 fn run_chain(
-    injector: Option<Arc<FaultInjector>>,
+    injector: Option<Arc<FaultPlan>>,
     data: &[Row],
     chain: &[(STPredicate, STObject)],
     partitioned: bool,
@@ -76,7 +76,7 @@ fn assert_paths_agree(data: &[Row], chain: &[(STPredicate, STObject)], partition
     assert_eq!(plain.counts, [row.len(); 3], "counts diverged (partitioned={partitioned})");
     // and under injected transient faults (PR 3 chaos harness): retries
     // must reproduce the same bytes and counts on both paths
-    let chaos = Some(Arc::new(FaultInjector::transient(0xC0_1A12, 0.15)));
+    let chaos = Some(Arc::new(FaultPlan::transient(0xC0_1A12, 0.15)));
     let faulted = run_chain(chaos, data, chain, partitioned);
     assert_eq!(&faulted.reference, row, "row path not fault-transparent");
     assert_eq!(&faulted.rows, row, "columnar path not fault-transparent");

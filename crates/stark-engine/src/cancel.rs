@@ -227,7 +227,7 @@ impl<I: Iterator> Iterator for Checked<I> {
 
 /// Sleeps for `duration` in small slices, observing the current
 /// thread's token between slices — so a stalled task (e.g. a
-/// [`FaultPolicy::Delay`](crate::FaultPolicy) straggler) releases its
+/// [`Fault::Delay`](crate::Fault) straggler) releases its
 /// worker promptly once a speculative duplicate wins or a deadline
 /// passes, instead of holding the job open for the full stall.
 pub(crate) fn sleep_cooperative(duration: Duration) {

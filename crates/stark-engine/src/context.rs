@@ -1,7 +1,7 @@
 //! The engine entry point, analogous to Spark's `SparkContext`.
 
 use crate::cancel::{self, CancelScope, CancellationToken};
-use crate::fault::FaultInjector;
+use crate::fault::{FaultPlan, Site};
 use crate::memory::MemoryManager;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::rdd::Rdd;
@@ -29,10 +29,10 @@ pub struct EngineConfig {
     /// (exponential backoff). Zero (the default) retries immediately —
     /// in-process recomputation has no cluster to wait out.
     pub retry_backoff: Duration,
-    /// Chaos-testing hook: a seeded [`FaultInjector`] the executor
-    /// consults at the start of every task attempt. `None` (the
-    /// default) injects nothing.
-    pub fault_injector: Option<Arc<FaultInjector>>,
+    /// Chaos-testing hook: a seeded [`FaultPlan`] the executor consults
+    /// at the start of every task attempt. Only task faults are allowed
+    /// here. `None` (the default) injects nothing.
+    pub fault_injector: Option<Arc<FaultPlan>>,
     /// Wall-clock budget applied to every top-level job started on the
     /// context. A job past its deadline fails with a non-retryable
     /// [`TaskErrorKind::DeadlineExceeded`](crate::TaskErrorKind) task
@@ -130,6 +130,9 @@ impl Context {
             "speculation_quantile must be in (0, 1]"
         );
         assert!(config.speculation_multiplier >= 1.0, "speculation_multiplier must be >= 1");
+        if let Some(plan) = &config.fault_injector {
+            plan.assert_sites("EngineConfig::fault_injector", &[Site::Task]);
+        }
         let metrics = Arc::new(Metrics::default());
         let memory = MemoryManager::new(config.memory_budget, Arc::clone(&metrics));
         Context {
@@ -196,11 +199,6 @@ impl Context {
     /// The per-task retry budget (see [`EngineConfig::max_task_retries`]).
     pub fn max_task_retries(&self) -> u32 {
         self.inner.config.max_task_retries
-    }
-
-    /// The installed chaos injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.inner.config.fault_injector.as_ref()
     }
 
     /// The root [`CancellationToken`] every job on this context chains

@@ -48,7 +48,7 @@ pub enum TaskErrorKind {
     /// after the attempt budget.
     Panic,
     /// A fault raised by the configured
-    /// [`FaultInjector`](crate::FaultInjector). Retryable.
+    /// [`FaultPlan`](crate::FaultPlan). Retryable.
     Injected,
     /// The task asked for a partition index the dataset does not have —
     /// a deterministic structural error; retrying cannot help, so it
@@ -212,7 +212,7 @@ fn cancel_error(reason: CancelReason, partition: usize, stage: u64, attempts: u3
 /// partition-boundary observation point) and installed as the thread's
 /// governing token for the attempt's duration, so fused record chunks,
 /// cooperative sleeps and nested shuffle jobs all observe it. The
-/// configured [`FaultInjector`](crate::FaultInjector) is consulted
+/// configured [`FaultPlan`](crate::FaultPlan) is consulted
 /// *inside* the guard, so injected faults take the same path as genuine
 /// task panics.
 fn run_attempt<T: Data, R>(
@@ -232,8 +232,8 @@ fn run_attempt<T: Data, R>(
     let _governing = cancel::scope(Arc::clone(token));
     let started = Instant::now();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if let Some(injector) = ctx.fault_injector() {
-            injector.on_attempt(stage, i, attempt, ctx.memory());
+        if let Some(plan) = &ctx.inner.config.fault_injector {
+            plan.on_attempt(stage, i, attempt, ctx.memory());
         }
         inner.compute(i)
     }))
@@ -532,7 +532,7 @@ pub(crate) fn unwrap_job<R>(outcome: Result<R, TaskError>) -> R {
 mod tests {
     use crate::context::{Context, EngineConfig};
     use crate::executor::TaskErrorKind;
-    use crate::fault::{FaultInjector, FaultPolicy, FaultScope};
+    use crate::fault::{Fault, FaultPlan, FaultRule, Scope};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -540,8 +540,8 @@ mod tests {
     fn chaos_ctx(
         parallelism: usize,
         retries: u32,
-        injector: FaultInjector,
-    ) -> (Context, Arc<FaultInjector>) {
+        injector: FaultPlan,
+    ) -> (Context, Arc<FaultPlan>) {
         let injector = Arc::new(injector);
         let ctx = Context::with_config(EngineConfig {
             parallelism,
@@ -647,7 +647,7 @@ mod tests {
 
     #[test]
     fn transient_injected_fault_is_absorbed_by_retry() {
-        let inj = FaultInjector::new(7, FaultScope::Partition(2), FaultPolicy::Transient);
+        let inj = FaultPlan::new(7, vec![FaultRule::new(Fault::Transient, Scope::Partition(2))]);
         let (ctx, chaos) = chaos_ctx(4, 3, inj);
         let r = ctx.parallelize((0..40).collect::<Vec<i32>>(), 8);
         assert_eq!(r.collect(), (0..40).collect::<Vec<_>>());
@@ -660,7 +660,7 @@ mod tests {
 
     #[test]
     fn permanent_fault_exhausts_retry_budget() {
-        let inj = FaultInjector::new(7, FaultScope::Partition(1), FaultPolicy::Panic);
+        let inj = FaultPlan::new(7, vec![FaultRule::new(Fault::Panic, Scope::Partition(1))]);
         let (ctx, chaos) = chaos_ctx(2, 2, inj);
         let err = ctx.parallelize((0..8).collect::<Vec<i32>>(), 4).try_collect().unwrap_err();
         assert_eq!(err.partition, 1);
@@ -692,11 +692,8 @@ mod tests {
 
     #[test]
     fn delay_policy_stalls_but_preserves_results() {
-        let inj = FaultInjector::new(
-            11,
-            FaultScope::Probability(1.0),
-            FaultPolicy::Delay(std::time::Duration::from_micros(200)),
-        );
+        let delay = Fault::Delay(std::time::Duration::from_micros(200));
+        let inj = FaultPlan::new(11, vec![FaultRule::new(delay, Scope::Probability(1.0))]);
         let (ctx, chaos) = chaos_ctx(4, 3, inj);
         let r = ctx.parallelize((0..32).collect::<Vec<i32>>(), 8);
         assert_eq!(r.collect(), (0..32).collect::<Vec<_>>());
@@ -725,7 +722,7 @@ mod tests {
     fn stage_ordinals_give_reruns_fresh_fault_draws() {
         // a Stage-scoped fault strikes only its stage ordinal; the same
         // dataset re-run (a new sweep, hence a new stage) is untouched
-        let inj = FaultInjector::new(5, FaultScope::Stage(0), FaultPolicy::Panic);
+        let inj = FaultPlan::new(5, vec![FaultRule::new(Fault::Panic, Scope::Stage(0))]);
         let (ctx, _chaos) = chaos_ctx(2, 0, inj);
         let r = ctx.parallelize((0..8).collect::<Vec<i32>>(), 4);
         assert!(r.try_collect().is_err(), "stage 0 is poisoned");
@@ -808,7 +805,8 @@ mod tests {
     #[test]
     fn speculation_beats_delay_straggler_with_identical_results() {
         let stall = std::time::Duration::from_millis(400);
-        let inj = FaultInjector::new(11, FaultScope::Partition(0), FaultPolicy::Delay(stall));
+        let inj =
+            FaultPlan::new(11, vec![FaultRule::new(Fault::Delay(stall), Scope::Partition(0))]);
         let injector = Arc::new(inj);
         let ctx = Context::with_config(EngineConfig {
             parallelism: 4,
@@ -845,7 +843,8 @@ mod tests {
     #[test]
     fn speculation_off_sleeps_out_the_straggler() {
         let stall = std::time::Duration::from_millis(80);
-        let inj = FaultInjector::new(11, FaultScope::Partition(0), FaultPolicy::Delay(stall));
+        let inj =
+            FaultPlan::new(11, vec![FaultRule::new(Fault::Delay(stall), Scope::Partition(0))]);
         let (ctx, _chaos) = chaos_ctx(4, 3, inj);
         let started = std::time::Instant::now();
         let out = ctx.parallelize((0..64).collect::<Vec<i32>>(), 8).collect();

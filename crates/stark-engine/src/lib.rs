@@ -20,7 +20,7 @@
 //!   task/job timing;
 //! * lineage-based fault tolerance: failed tasks retry with cache
 //!   eviction up to [`EngineConfig::max_task_retries`], a seeded
-//!   [`FaultInjector`] makes chaos runs deterministic, and
+//!   [`FaultPlan`] makes chaos runs deterministic, and
 //!   [`Rdd::checkpoint`] truncates lineage to the object store;
 //! * straggler defence: cooperative cancellation via a
 //!   [`CancellationToken`] chain, job deadlines
@@ -40,9 +40,7 @@
 //!   fragments ship to forked worker processes over an STK1-framed TCP
 //!   [`transport`]; a [`WorkerPool`] heartbeats, detects worker loss
 //!   (crash, silence, torn frames), reassigns in-flight work to
-//!   survivors and respawns seats with jittered backoff, while
-//!   [`TransportChaos`] injects deterministic transport faults for
-//!   crash-recovery tests;
+//!   survivors and respawns seats with jittered backoff;
 //! * fault-tolerant remote shuffle: each worker keeps its map outputs in
 //!   memory and serves them over a per-worker [`shuffle`] port to
 //!   pooled peer connections (CRC-checked transfers with
@@ -50,8 +48,11 @@
 //!   resume); the driver keeps a map-output registry and, when a
 //!   producer dies mid-shuffle, regenerates the lost outputs via
 //!   lineage on the survivors at a bumped shuffle epoch
-//!   (`WorkerPool::run_shuffle`), with [`FetchChaos`] injecting
-//!   deterministic fetch-side faults.
+//!   (`WorkerPool::run_shuffle`);
+//! * one chaos harness for all of the above: a seeded [`FaultPlan`]
+//!   whose rules strike task attempts in the executor, task dispatches
+//!   in the pool, and bucket fetches in the workers' shuffle servers, so
+//!   every recovery path is tested against deterministic faults.
 //!
 //! ```
 //! use stark_engine::Context;
@@ -82,10 +83,7 @@ pub mod worker;
 
 pub use cancel::{CancelReason, CancelScope, CancellationToken};
 pub use context::{Context, EngineConfig};
-pub use fault::{
-    FaultInjector, FaultPolicy, FaultScope, FetchChaos, FetchChaosState, FetchPolicy,
-    TransportChaos, TransportPolicy,
-};
+pub use fault::{Fault, FaultPlan, FaultRule, Scope};
 pub use memory::{ChildBudget, ChildReservation, MemoryManager, MemoryReservation};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use partition::{Partition, PartitionIntoIter};

@@ -64,7 +64,7 @@ pub struct MemoryManager {
     /// `u64::MAX` means unbounded.
     configured: u64,
     /// Effective budget — starts at `configured`, shrunk (sticky) by
-    /// [`FaultPolicy::MemoryPressure`](crate::FaultPolicy) strikes.
+    /// [`Fault::MemoryPressure`](crate::Fault) strikes.
     effective: AtomicU64,
     /// Accounted bytes currently reserved.
     reserved: AtomicU64,
@@ -150,7 +150,7 @@ impl MemoryManager {
 
     /// Shrinks the effective budget to at most `bytes` (sticky for the
     /// manager's lifetime) and evicts victims until the ledger fits —
-    /// the [`FaultPolicy::MemoryPressure`](crate::FaultPolicy) strike
+    /// the [`Fault::MemoryPressure`](crate::Fault) strike
     /// path, modelling an external actor (OOM killer, co-tenant)
     /// clawing memory back mid-job.
     pub fn restrict(&self, bytes: u64) {

@@ -1818,10 +1818,10 @@ mod tests {
 
     #[test]
     fn counted_handles_count_through_the_parent_after_a_fault() {
-        use crate::fault::{FaultInjector, FaultPolicy, FaultScope};
+        use crate::fault::{Fault, FaultPlan, FaultRule, Scope};
         // every job's first attempt at partition 1 panics before computing
-        let chaos =
-            Arc::new(FaultInjector::new(5, FaultScope::Partition(1), FaultPolicy::Transient));
+        let rule = FaultRule::new(Fault::Transient, Scope::Partition(1));
+        let chaos = Arc::new(FaultPlan::new(5, vec![rule]));
         let c = Context::with_config(EngineConfig {
             parallelism: 2,
             default_partitions: 2,
@@ -2028,9 +2028,9 @@ mod tests {
 
     #[test]
     fn checkpoint_recovery_rereads_blob_after_failure() {
-        use crate::fault::{FaultInjector, FaultPolicy, FaultScope};
-        let chaos =
-            Arc::new(FaultInjector::new(3, FaultScope::Partition(1), FaultPolicy::Transient));
+        use crate::fault::{Fault, FaultPlan, FaultRule, Scope};
+        let rule = FaultRule::new(Fault::Transient, Scope::Partition(1));
+        let chaos = Arc::new(FaultPlan::new(3, vec![rule]));
         let c = Context::with_config(EngineConfig {
             parallelism: 2,
             default_partitions: 2,

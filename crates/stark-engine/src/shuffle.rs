@@ -42,7 +42,7 @@
 //! escalate to the driver, which treats it as a lost-map-output signal
 //! (see `WorkerPool::run_shuffle`).
 
-use crate::fault::{splitmix64, FetchChaosState, FetchPolicy};
+use crate::fault::{splitmix64, Fault, FaultPlan, Site};
 use crate::storage::{crc32, StorageError, MAX_BLOB_LEN};
 use crate::transport::{recv_msg, send_msg};
 use serde::{Deserialize, Serialize};
@@ -169,7 +169,8 @@ pub struct ShuffleEnv {
     /// Accept threads started by [`Self::serve`], with their ports.
     acceptors: Mutex<Vec<(u16, JoinHandle<()>)>>,
     cfg: FetchConfig,
-    chaos: Option<FetchChaosState>,
+    /// Fault plan whose fetch rules strike this server's answers.
+    faults: Option<Arc<FaultPlan>>,
     fetch_retries: AtomicU64,
     bytes_fetched: AtomicU64,
     rng: AtomicU64,
@@ -192,14 +193,14 @@ struct Conn {
 
 impl ShuffleEnv {
     /// Creates an empty shuffle environment.
-    pub fn with_config(cfg: FetchConfig, chaos: Option<FetchChaosState>) -> Arc<ShuffleEnv> {
+    pub fn with_config(cfg: FetchConfig, faults: Option<Arc<FaultPlan>>) -> Arc<ShuffleEnv> {
         Arc::new(ShuffleEnv {
             buckets: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
             acceptors: Mutex::new(Vec::new()),
             rng: AtomicU64::new(splitmix64(cfg.seed ^ 0x5A17_F00D)),
             cfg,
-            chaos,
+            faults,
             fetch_retries: AtomicU64::new(0),
             bytes_fetched: AtomicU64::new(0),
         })
@@ -212,9 +213,9 @@ impl ShuffleEnv {
     pub fn new(
         _root: impl AsRef<Path>,
         cfg: FetchConfig,
-        chaos: Option<FetchChaosState>,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Result<Arc<ShuffleEnv>, StorageError> {
-        Ok(Self::with_config(cfg, chaos))
+        Ok(Self::with_config(cfg, faults))
     }
 
     /// Stores a map-output bucket and registers it under `epoch`,
@@ -279,8 +280,8 @@ impl ShuffleEnv {
         Ok(port)
     }
 
-    /// Answers one fetch request. `Ok(false)` means hang up (the chaos
-    /// policy tore the transfer).
+    /// Answers one fetch request. `Ok(false)` means hang up (an injected
+    /// fault tore the transfer).
     fn answer(&self, w: &mut TcpStream, key: &str, epoch: u64, offset: u64) -> io::Result<bool> {
         let found = self.buckets.lock().unwrap().get(key).cloned();
         let bucket = match found {
@@ -290,30 +291,32 @@ impl ShuffleEnv {
             }
             Some(b) => b,
         };
-        let policy = self.chaos.as_ref().and_then(|c| c.draw(key, epoch));
-        match policy {
-            Some(FetchPolicy::KillServingWorker) => {
+        // The epoch is the attempt, so regenerated outputs serve cleanly;
+        // the key's CRC makes a seeded draw vary per bucket.
+        let crc = || u64::from(crc32(key.as_bytes()));
+        let fault =
+            self.faults.as_deref().and_then(|p| p.strike(Site::Fetch, 0, crc(), key, epoch));
+        match fault {
+            Some(Fault::KillServingWorker) => {
                 // fail-stop: the worker (and all its map outputs)
                 // vanishes mid-shuffle
                 std::process::exit(1);
             }
-            Some(FetchPolicy::RefuseFetch) => {
-                return send_msg(w, &FetchRsp::Refused).map(|()| true)
-            }
-            Some(FetchPolicy::DelayFetch(d)) => std::thread::sleep(d),
+            Some(Fault::RefuseFetch) => return send_msg(w, &FetchRsp::Refused).map(|()| true),
+            Some(Fault::DelayFetch(d)) => std::thread::sleep(d),
             _ => {}
         }
         let data = &bucket.data[..];
         let off = (offset as usize).min(data.len());
         send_msg(w, &FetchRsp::Bucket { len: data.len() as u64, crc: bucket.crc })?;
-        match policy {
-            Some(FetchPolicy::DropBucket) => {
+        match fault {
+            Some(Fault::DropBucket) => {
                 // torn transfer: half the remaining bytes, then hang up —
                 // the client resumes from its new offset
                 w.write_all(&data[off..off + (data.len() - off) / 2])?;
                 return Ok(false);
             }
-            Some(FetchPolicy::CorruptBucket) => {
+            Some(Fault::CorruptBucket) => {
                 // full-length transfer, one byte flipped after the CRC
                 // was announced — the client must reject it
                 let mut sent = data[off..].to_vec();
@@ -529,7 +532,7 @@ enum AttemptError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FetchChaos;
+    use crate::fault::{FaultRule, Scope};
     use std::time::Instant;
 
     fn test_cfg() -> FetchConfig {
@@ -542,8 +545,14 @@ mod tests {
         }
     }
 
-    fn env_with(chaos: Option<FetchChaosState>) -> Arc<ShuffleEnv> {
-        ShuffleEnv::with_config(test_cfg(), chaos)
+    fn env_with(chaos: Option<FaultPlan>) -> Arc<ShuffleEnv> {
+        ShuffleEnv::with_config(test_cfg(), chaos.map(Arc::new))
+    }
+
+    /// A plan striking the first `strikes` epoch-0 fetches with `fault`.
+    fn strikes(fault: Fault, strikes: u64) -> FaultPlan {
+        let rule = FaultRule::new(fault, Scope::Probability(1.0));
+        FaultPlan::new(0, vec![FaultRule { strikes: Some(strikes), ..rule }])
     }
 
     fn addr(port: u16) -> String {
@@ -680,9 +689,7 @@ mod tests {
 
     #[test]
     fn torn_transfers_resume_from_the_received_offset() {
-        let chaos =
-            FetchChaosState::new(FetchChaos::once(FetchPolicy::DropBucket).with_max_strikes(2));
-        let server = env_with(Some(chaos));
+        let server = env_with(Some(strikes(Fault::DropBucket, 2)));
         let data: Vec<u8> = (0..50_000u32).map(|x| x as u8).collect();
         server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
         let port = server.serve().unwrap();
@@ -695,8 +702,7 @@ mod tests {
 
     #[test]
     fn corrupt_transfers_are_rejected_and_refetched() {
-        let chaos = FetchChaosState::new(FetchChaos::once(FetchPolicy::CorruptBucket));
-        let server = env_with(Some(chaos));
+        let server = env_with(Some(FaultPlan::once(Fault::CorruptBucket)));
         let data = vec![0x5Au8; 9000];
         server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
         let port = server.serve().unwrap();
@@ -709,9 +715,7 @@ mod tests {
 
     #[test]
     fn refused_fetches_retry_until_the_policy_exhausts() {
-        let chaos =
-            FetchChaosState::new(FetchChaos::once(FetchPolicy::RefuseFetch).with_max_strikes(3));
-        let server = env_with(Some(chaos));
+        let server = env_with(Some(strikes(Fault::RefuseFetch, 3)));
         server.put_bucket("sh/task-00000/bucket-00000", 0, b"payload").unwrap();
         let port = server.serve().unwrap();
 

@@ -15,19 +15,24 @@
 //! * **Recovery** — a dead worker's in-flight task is reassigned to a
 //!   survivor with a bumped attempt number (lineage-based recovery at
 //!   the granularity of plan fragments); map outputs it had already
-//!   served are regenerated by [`WorkerPool::run_shuffle`]. The seat
-//!   respawns with exponential backoff, jittered so a mass outage
-//!   doesn't thunder back in lockstep.
+//!   served are regenerated by [`WorkerPool::run_shuffle`]. A loss
+//!   that strands outputs an unfinished reduce still fetches ends the
+//!   round ([`PoolError::ProducerLost`]) instead of reassigning into
+//!   it. The seat respawns with exponential backoff, jittered so a mass
+//!   outage doesn't thunder back in lockstep.
 //! * **Graceful drain** — shutdown sends [`DriverMsg::Drain`], waits
 //!   briefly for clean exits, then kills stragglers.
 //!
-//! Transport chaos ([`TransportChaos`]) hooks the dispatch path:
-//! kill -9 after send, dropped/truncated/corrupted/delayed task frames.
-//! Each policy exercises a different detection route, but recovery is
-//! always the same reassignment path — which is why the chaos suite can
-//! pin `tasks_reassigned == injected` and byte-identical results.
+//! A [`FaultPlan`] in [`WorkerPoolConfig::faults`] strikes at two
+//! sites. Its dispatch faults hook the send path here: kill -9 at
+//! dispatch, dropped/truncated/corrupted/delayed task frames. Each
+//! exercises a different detection route, but recovery is always the
+//! same reassignment path — which is why the chaos suite can pin
+//! `tasks_reassigned == injected` and byte-identical results. Its fetch
+//! faults travel to every forked worker as a `--faults` argument and
+//! strike that worker's shuffle server.
 
-use crate::fault::{splitmix64, FetchChaos, TransportChaos, TransportPolicy};
+use crate::fault::{splitmix64, Fault, FaultPlan, Site};
 use crate::metrics::Metrics;
 use crate::plan::{
     shuffle_bucket_key, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput, TaskResult,
@@ -85,11 +90,11 @@ pub struct WorkerPoolConfig {
     /// Shared object store for checkpoints; `None` creates a fresh
     /// temp-dir store.
     pub store_root: Option<PathBuf>,
-    /// Transport fault injection consulted on every dispatch.
-    pub chaos: Option<Arc<TransportChaos>>,
-    /// Fetch-side fault injection, exported to every forked worker via
-    /// the `STARK_FETCH_CHAOS` environment variable.
-    pub fetch_chaos: Option<FetchChaos>,
+    /// Fault injection: dispatch rules are consulted on every task
+    /// dispatch; fetch rules are passed to every forked worker's shuffle
+    /// server (each worker process counts its own strikes). Task rules
+    /// are rejected — the pool never consults them.
+    pub faults: Option<Arc<FaultPlan>>,
     /// How many lost-output regeneration rounds one remote shuffle may
     /// run before giving up (a fetch failure that survives this many
     /// re-productions is not transient).
@@ -113,8 +118,7 @@ impl WorkerPoolConfig {
             max_respawns: 3,
             max_task_retries: 3,
             store_root: None,
-            chaos: None,
-            fetch_chaos: None,
+            faults: None,
             max_shuffle_regens: 4,
             metrics: None,
             seed: 0xC4A05,
@@ -157,6 +161,12 @@ pub enum PoolError {
         task: usize,
         failure: FetchFailure,
     },
+    /// A worker was lost whose map outputs an unfinished task of the job
+    /// still has to fetch. Those tasks can only fail, so the job stops
+    /// here, and a remote shuffle regenerates the outputs.
+    ProducerLost {
+        seat: usize,
+    },
     /// A remote shuffle regenerated lost map outputs
     /// [`WorkerPoolConfig::max_shuffle_regens`] times and fetches still
     /// failed — the failure is not transient.
@@ -180,6 +190,9 @@ impl fmt::Display for PoolError {
             }
             PoolError::FetchFailed { task, failure } => {
                 write!(f, "reduce task {task}: {failure}")
+            }
+            PoolError::ProducerLost { seat } => {
+                write!(f, "worker seat {seat} was lost holding map outputs the job still fetches")
             }
             PoolError::ShuffleRegensExhausted { prefix, rounds } => {
                 write!(
@@ -382,6 +395,9 @@ impl WorkerPool {
     /// killed before the error returns.
     pub fn spawn(cfg: WorkerPoolConfig) -> Result<WorkerPool, PoolError> {
         assert!(cfg.workers >= 1, "a pool needs at least one worker");
+        if let Some(plan) = &cfg.faults {
+            plan.assert_sites("WorkerPoolConfig::faults", &[Site::Dispatch, Site::Fetch]);
+        }
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?.to_string();
@@ -468,8 +484,8 @@ impl WorkerPool {
             .arg(self.store.root())
             .stdin(Stdio::null())
             .stdout(Stdio::null());
-        if let Some(fc) = &self.cfg.fetch_chaos {
-            cmd.env("STARK_FETCH_CHAOS", fc.to_env());
+        if let Some(arg) = self.cfg.faults.as_ref().and_then(|p| p.fetch_arg()) {
+            cmd.arg("--faults").arg(arg);
         }
         let mut child =
             cmd.spawn().map_err(|e| spawn_err(format!("fork {:?}: {e}", self.cfg.program)))?;
@@ -582,7 +598,7 @@ impl WorkerPool {
             }
 
             match self.events_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(ev) => self.handle_event(ev, &mut results, &mut pending, &mut done)?,
+                Ok(ev) => self.handle_event(ev, tasks, &mut results, &mut pending, &mut done)?,
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     unreachable!("pool holds an event sender")
@@ -668,7 +684,7 @@ impl WorkerPool {
                 Ok(traced) => {
                     return Ok(traced.into_iter().map(|(r, _, _)| r).collect());
                 }
-                Err(PoolError::FetchFailed { task: _, failure }) => {
+                Err(e @ (PoolError::FetchFailed { .. } | PoolError::ProducerLost { .. })) => {
                     rounds += 1;
                     if rounds > self.cfg.max_shuffle_regens {
                         return Err(PoolError::ShuffleRegensExhausted {
@@ -680,15 +696,19 @@ impl WorkerPool {
                     // so their answers can't be mistaken for the next
                     // round's (task ids restart at 0 every job).
                     self.quiesce();
-                    if !failure.stale {
+                    match e {
                         // The peer is unreachable or serving unusable
                         // bytes: take it down. invalidate_dead_outputs
                         // reaps its registry entries on the next pass.
-                        self.fail_address(&failure.addr);
+                        PoolError::FetchFailed { failure, .. } if !failure.stale => {
+                            self.fail_address(&failure.addr)
+                        }
+                        // Stale epoch needs no invalidation: the registry
+                        // has already moved on, and the rebuilt sources
+                        // carry the new epoch. A lost producer is already
+                        // down.
+                        _ => {}
                     }
-                    // Stale epoch needs no invalidation: the registry has
-                    // already moved on, and the rebuilt sources carry the
-                    // new epoch.
                 }
                 Err(e) => return Err(e),
             }
@@ -853,17 +873,25 @@ impl WorkerPool {
                     if self.slots[seat].gen != gen {
                         continue;
                     }
-                    let answered = match msg {
-                        WorkerMsg::TaskOk { id, .. } | WorkerMsg::TaskErr { id, .. } => Some(id),
-                        _ => None,
-                    };
-                    if let Some(id) = answered {
-                        if matches!(
-                            self.slots[seat].state,
-                            SlotState::Busy { task, .. } if task == id as usize
-                        ) {
-                            self.slots[seat].state = SlotState::Idle;
+                    let (id, retries, failures) = match msg {
+                        WorkerMsg::TaskOk { id, fetch_retries, .. } => (id, fetch_retries, 0),
+                        WorkerMsg::TaskErr { id, fetch_retries, fetch, .. } => {
+                            (id, fetch_retries, fetch.is_some() as u64)
                         }
+                        _ => continue,
+                    };
+                    if matches!(
+                        self.slots[seat].state,
+                        SlotState::Busy { task, .. } if task == id as usize
+                    ) {
+                        self.slots[seat].state = SlotState::Idle;
+                        // the answer is discarded, but its fetches happened
+                        self.stats.fetch_retries += retries;
+                        self.stats.fetch_failures += failures;
+                        self.metric(|m| {
+                            m.inc_fetch_retries(retries);
+                            m.inc_fetch_failures(failures);
+                        });
                     }
                 }
                 Ok(Event::Gone { seat, gen, reason }) => {
@@ -970,7 +998,9 @@ impl WorkerPool {
         dist: &DistTask,
         job: u64,
     ) -> Result<(), String> {
-        let policy = self.cfg.chaos.as_ref().and_then(|c| c.draw(job, task as u64, attempt));
+        let faults = self.cfg.faults.as_deref();
+        let fault =
+            faults.and_then(|p| p.strike(Site::Dispatch, job, task as u64, "", attempt.into()));
         let deadline = Instant::now() + self.cfg.task_timeout;
         self.slots[seat].state = SlotState::Busy { task, attempt, deadline };
         self.stats.tasks_dispatched += 1;
@@ -983,13 +1013,13 @@ impl WorkerPool {
             has_payload: dist.payload.is_some(),
         };
 
-        match policy {
-            Some(TransportPolicy::DropFrame) => {
+        match fault {
+            Some(Fault::DropFrame) => {
                 // the worker never hears about the task; the per-task
                 // deadline recovers it
                 return Ok(());
             }
-            Some(TransportPolicy::KillWorker) => {
+            Some(Fault::KillWorker) => {
                 // Fail-stop crash at dispatch: the victim dies before the
                 // task frame lands, so the in-flight task is always
                 // recovered by reassignment (never by a duplicate
@@ -1000,15 +1030,15 @@ impl WorkerPool {
                 }
                 return Ok(());
             }
-            Some(TransportPolicy::DelayFrame(d)) => std::thread::sleep(d),
+            Some(Fault::DelayFrame(d)) => std::thread::sleep(d),
             _ => {}
         }
 
         let payload_len = dist.payload.as_ref().map(|p| p.len() as u64).unwrap_or(0);
         let writer = self.slots[seat].writer.as_mut().expect("live worker has a writer");
-        let send_result = match policy {
-            Some(TransportPolicy::TruncateFrame) => send_truncated(writer, &msg),
-            Some(TransportPolicy::CorruptFrame) => send_corrupted(writer, &msg),
+        let send_result = match fault {
+            Some(Fault::TruncateFrame) => send_truncated(writer, &msg),
+            Some(Fault::CorruptFrame) => send_corrupted(writer, &msg),
             _ => {
                 let r = send_msg(writer, &msg);
                 match (&r, &dist.payload) {
@@ -1027,6 +1057,7 @@ impl WorkerPool {
     fn handle_event(
         &mut self,
         ev: Event,
+        tasks: &[DistTask],
         results: &mut [Option<(TaskResult, usize, u64)>],
         pending: &mut VecDeque<(usize, u32)>,
         done: &mut usize,
@@ -1105,7 +1136,19 @@ impl WorkerPool {
                 if self.slots[seat].gen != gen || !self.slots[seat].is_live() {
                     return Ok(()); // stale or already handled
                 }
-                self.mark_down(seat, &reason, pending, false);
+                // Reassigning work while an unfinished task still fetches
+                // the lost worker's outputs only feeds a job that cannot
+                // finish: stop it instead, so they are regenerated.
+                let addr = format!("127.0.0.1:{}", self.slots[seat].shuffle_port);
+                let doomed = tasks.iter().zip(results.iter()).any(|(t, r)| {
+                    r.is_none()
+                        && matches!(&t.fragment.input, PlanInput::Fetch { sources }
+                            if sources.iter().any(|s| s.addr == addr))
+                });
+                self.mark_down(seat, &reason, pending, doomed);
+                if doomed {
+                    return Err(PoolError::ProducerLost { seat });
+                }
                 if let Some((_, attempt)) = pending.back() {
                     if *attempt > self.cfg.max_task_retries {
                         let (task, attempt) = pending.pop_back().expect("just observed");

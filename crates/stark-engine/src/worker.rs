@@ -16,7 +16,7 @@
 //! control-plus-payload pair is sent under one lock so frames never
 //! interleave.
 
-use crate::fault::FetchChaosState;
+use crate::fault::FaultPlan;
 use crate::plan::{ExecEnv, PlanError, PlanFragment, SchemaExecutor, TaskResult};
 use crate::shuffle::{FetchConfig, ShuffleEnv};
 use crate::storage::ObjectStore;
@@ -79,6 +79,7 @@ impl WorkerRuntime {
         worker_id: usize,
         heartbeat: Duration,
         store_root: Option<&Path>,
+        faults: Option<Arc<FaultPlan>>,
     ) -> io::Result<()> {
         let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(
@@ -87,17 +88,19 @@ impl WorkerRuntime {
             )
         })?;
         let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
-        self.serve(stream, worker_id, heartbeat, store_root)
+        self.serve(stream, worker_id, heartbeat, store_root, faults)
     }
 
     /// Serves the worker protocol over an established connection. Used
     /// directly by in-process tests; the binaries call [`Self::run`].
+    /// `faults` holds the fetch rules this worker's shuffle server obeys.
     pub fn serve(
         &self,
         stream: TcpStream,
         worker_id: usize,
         heartbeat: Duration,
         store_root: Option<&Path>,
+        faults: Option<Arc<FaultPlan>>,
     ) -> io::Result<()> {
         stream.set_nodelay(true).ok();
         let store = match store_root {
@@ -108,10 +111,8 @@ impl WorkerRuntime {
         };
 
         // Remote-shuffle half: this worker's in-memory buckets, served
-        // on a fresh port. `STARK_FETCH_CHAOS` arms deterministic
-        // fetch-side fault injection for the chaos suite.
-        let shuffle =
-            ShuffleEnv::with_config(FetchConfig::default(), FetchChaosState::from_env_var());
+        // on a fresh port.
+        let shuffle = ShuffleEnv::with_config(FetchConfig::default(), faults);
         let shuffle_port = shuffle.serve().unwrap_or(0);
 
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -259,20 +260,20 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// Command-line surface shared by the worker binaries:
 ///
 /// ```text
-/// <bin> --addr 127.0.0.1:PORT --id N [--heartbeat-ms 50] [--store DIR]
+/// <bin> --addr 127.0.0.1:PORT --id N [--heartbeat-ms 50] [--store DIR] [--faults JSON]
 /// ```
 ///
-/// `STARK_WORKER_ADDR`, `STARK_WORKER_ID`, `STARK_WORKER_HEARTBEAT_MS`
-/// and `STARK_STORE_ROOT` serve as fallbacks for each flag.
+/// `--faults` carries the pool's fetch fault rules; a value that does
+/// not decode is an `InvalidInput` error, never a silently clean run.
 pub fn run_from_args(
     runtime: &WorkerRuntime,
     args: impl Iterator<Item = String>,
 ) -> io::Result<()> {
-    let mut addr = std::env::var("STARK_WORKER_ADDR").ok();
-    let mut id: Option<usize> = std::env::var("STARK_WORKER_ID").ok().and_then(|s| s.parse().ok());
-    let mut heartbeat_ms: u64 =
-        std::env::var("STARK_WORKER_HEARTBEAT_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(50);
-    let mut store: Option<PathBuf> = std::env::var("STARK_STORE_ROOT").ok().map(PathBuf::from);
+    let mut addr: Option<String> = None;
+    let mut id: Option<usize> = None;
+    let mut heartbeat_ms: u64 = 50;
+    let mut store: Option<PathBuf> = None;
+    let mut faults = None;
 
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidInput, m);
     let mut args = args.peekable();
@@ -285,12 +286,18 @@ pub fn run_from_args(
                 heartbeat_ms = value()?.parse().map_err(|e| bad(format!("--heartbeat-ms: {e}")))?
             }
             "--store" => store = Some(PathBuf::from(value()?)),
+            "--faults" => {
+                let plan = FaultPlan::from_fetch_arg(&value()?)
+                    .map_err(|e| bad(format!("--faults: {e}")))?;
+                faults = Some(Arc::new(plan));
+            }
             other => return Err(bad(format!("unknown flag {other:?}"))),
         }
     }
-    let addr = addr.ok_or_else(|| bad("missing --addr (or STARK_WORKER_ADDR)".into()))?;
-    let id = id.ok_or_else(|| bad("missing --id (or STARK_WORKER_ID)".into()))?;
-    runtime.run(&addr, id, Duration::from_millis(heartbeat_ms.max(1)), store.as_deref())
+    let addr = addr.ok_or_else(|| bad("missing --addr".into()))?;
+    let id = id.ok_or_else(|| bad("missing --id".into()))?;
+    let heartbeat = Duration::from_millis(heartbeat_ms.max(1));
+    runtime.run(&addr, id, heartbeat, store.as_deref(), faults)
 }
 
 #[cfg(test)]
@@ -315,7 +322,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let rt = int_runtime();
             let stream = TcpStream::connect(addr).unwrap();
-            rt.serve(stream, 0, Duration::from_millis(10), None)
+            rt.serve(stream, 0, Duration::from_millis(10), None, None)
         });
         let (driver_side, _) = listener.accept().unwrap();
         (driver_side, handle)
@@ -516,5 +523,19 @@ mod tests {
         w.flush().unwrap();
         let err = handle.join().unwrap().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn malformed_faults_argument_is_rejected_before_connecting() {
+        // nothing listens on port 1: reaching the connect would be a
+        // different error, so the rejection must come from parsing
+        let dispatch_rule = (0u64, vec![crate::FaultRule::once(crate::Fault::KillWorker)]);
+        for spec in ["not json".to_string(), serde_json::to_string(&dispatch_rule).unwrap()] {
+            let args = ["--addr", "127.0.0.1:1", "--id", "0", "--faults", &spec];
+            let err = run_from_args(&int_runtime(), args.into_iter().map(String::from))
+                .expect_err("a malformed --faults must not start a clean worker");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains("--faults"), "{err}");
+        }
     }
 }

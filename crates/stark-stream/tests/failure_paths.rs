@@ -3,7 +3,7 @@
 //! and watermark stability across a retried batch.
 
 use stark::STObject;
-use stark_engine::{Context, EngineConfig, FaultInjector, FaultPolicy, FaultScope};
+use stark_engine::{Context, EngineConfig, Fault, FaultPlan, FaultRule, Scope};
 use stark_geo::Envelope;
 use stark_stream::{
     BatchFailurePolicy, GeneratorSource, LatePolicy, MemorySink, Source, StreamConfig,
@@ -15,7 +15,7 @@ fn space() -> Envelope {
     Envelope::from_bounds(0.0, 0.0, 100.0, 100.0)
 }
 
-fn chaos_engine(max_task_retries: u32, injector: Arc<FaultInjector>) -> Context {
+fn chaos_engine(max_task_retries: u32, injector: Arc<FaultPlan>) -> Context {
     Context::with_config(EngineConfig {
         parallelism: 2,
         max_task_retries,
@@ -119,8 +119,10 @@ fn poison_records_quarantine_instead_of_killing_the_stream() {
 /// (probability 1.0, no engine retries), so every pane aggregation
 /// spends its batch retry budget and fails permanently.
 fn run_with_poisoned_engine(policy: BatchFailurePolicy) -> StreamReport {
-    let chaos =
-        Arc::new(FaultInjector::new(0xBAD5EED, FaultScope::Probability(1.0), FaultPolicy::Panic));
+    let chaos = Arc::new(FaultPlan::new(
+        0xBAD5EED,
+        vec![FaultRule::new(Fault::Panic, Scope::Probability(1.0))],
+    ));
     let sc = StreamContext::with_config(
         chaos_engine(0, chaos),
         StreamConfig {
@@ -200,7 +202,7 @@ fn watermark_stable_across_retried_batch() {
     // pane aggregation fails outright, and only the batch-level retry —
     // re-running it as fresh engine jobs with fresh stage ordinals —
     // can recover it.
-    let chaos = Arc::new(FaultInjector::new(9, FaultScope::Stage(0), FaultPolicy::Panic));
+    let chaos = Arc::new(FaultPlan::new(9, vec![FaultRule::new(Fault::Panic, Scope::Stage(0))]));
     let (faulty, faulty_panes) = run_windowed_stream(chaos_engine(0, Arc::clone(&chaos)));
 
     assert!(chaos.injected() >= 1, "the stage-0 fault must actually fire");

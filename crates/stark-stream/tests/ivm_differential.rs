@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use stark::{DataSummary, GridPartitioner, STObject, STPredicate, SpatialPartitioner};
-use stark_engine::{Context, EngineConfig, FaultInjector};
+use stark_engine::{Context, EngineConfig, FaultPlan};
 use stark_geo::{Coord, Envelope};
 use stark_stream::{
     ContinuousQueryEngine, Delta, DeltaVecSource, GeneratorSource, JoinEmission, JoinSpec,
@@ -130,7 +130,7 @@ fn run_pipeline(
         Context::with_config(EngineConfig {
             parallelism: 2,
             max_task_retries: 3,
-            fault_injector: Some(Arc::new(FaultInjector::transient(chaos_seed(), 0.3))),
+            fault_injector: Some(Arc::new(FaultPlan::transient(chaos_seed(), 0.3))),
             ..Default::default()
         })
     } else {

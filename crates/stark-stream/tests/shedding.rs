@@ -3,7 +3,7 @@
 //! watermark never moves backward no matter what is shed, and a batch
 //! past its deadline fails typed without stalling the stream.
 
-use stark_engine::{Context, EngineConfig, FaultInjector, FaultPolicy, FaultScope};
+use stark_engine::{Context, EngineConfig, Fault, FaultPlan, FaultRule, Scope};
 use stark_geo::Envelope;
 use stark_stream::{
     BatchMetrics, EventPayload, GeneratorSource, LatePolicy, MemorySink, ShedPolicy, Sink,
@@ -138,10 +138,9 @@ fn batch_deadline_fails_typed_without_stalling_the_stream() {
     // every engine task of the first attempt stalls 150ms; the batch
     // deadline is 25ms, so pane aggregation fails typed long before the
     // stall ends — and the stream keeps pumping (Skip policy)
-    let chaos = Arc::new(FaultInjector::new(
+    let chaos = Arc::new(FaultPlan::new(
         0x5EED,
-        FaultScope::Probability(1.0),
-        FaultPolicy::Delay(Duration::from_millis(150)),
+        vec![FaultRule::new(Fault::Delay(Duration::from_millis(150)), Scope::Probability(1.0))],
     ));
     let engine = Context::with_config(EngineConfig {
         parallelism: 2,

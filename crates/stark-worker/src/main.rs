@@ -9,7 +9,7 @@
 //! Usage (normally constructed by the supervisor, not typed by hand):
 //!
 //! ```text
-//! stark-worker --addr 127.0.0.1:PORT --id SEAT [--heartbeat-ms N] [--store DIR]
+//! stark-worker --addr 127.0.0.1:PORT --id SEAT [--heartbeat-ms N] [--store DIR] [--faults JSON]
 //! ```
 
 use stark::distributed::event_registry;

@@ -1,10 +1,10 @@
 //! Multi-process execution tests: a [`WorkerPool`] forking real
-//! `stark-worker` processes over TCP, with transport chaos.
+//! `stark-worker` processes over TCP, with dispatch and fetch faults.
 //!
-//! Every chaos test pins the two supervision invariants: results are
-//! byte-identical to a fault-free run, and `tasks_reassigned` equals the
-//! number of injected faults (`fail_attempts = 1` means a reassigned
-//! attempt is never struck again).
+//! Every dispatch-fault test pins the two supervision invariants:
+//! results are byte-identical to a fault-free run, and `tasks_reassigned`
+//! equals the number of injected faults (a rule's `attempts = 1` gate
+//! means a reassigned attempt is never struck again).
 
 use stark_engine::plan::{
     decode_rows, encode_rows, int_arg, int_registry, shuffle_bucket_key, PlanFragment, PlanInput,
@@ -12,8 +12,8 @@ use stark_engine::plan::{
 };
 use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    FetchChaos, FetchConfig, FetchPolicy, ShuffleEnv, ShuffleMode, ShuffleSpec, TaskResult,
-    TransportChaos, TransportPolicy, WorkerPool, WorkerPoolConfig,
+    Fault, FaultPlan, FaultRule, FetchConfig, Scope, ShuffleEnv, ShuffleMode, ShuffleSpec,
+    TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -104,13 +104,13 @@ fn checkpoint_sink_writes_recoverable_blobs_remotely() {
 /// Runs one job under an injected one-shot fault and asserts results are
 /// byte-identical to the fault-free reference, with exactly one
 /// reassignment.
-fn assert_recovers_from(policy: TransportPolicy, task_timeout: Option<Duration>) {
+fn assert_recovers_from(fault: Fault, task_timeout: Option<Duration>) {
     let inputs: Vec<Vec<i64>> = (0..10).map(|t| (t * 7..t * 7 + 30).collect()).collect();
     let tasks: Vec<DistTask> = inputs.iter().map(|rows| add_even_task(rows, 5)).collect();
 
-    let chaos = Arc::new(TransportChaos::once(policy));
+    let chaos = Arc::new(FaultPlan::once(fault));
     let mut cfg = pool_config(4);
-    cfg.chaos = Some(chaos.clone());
+    cfg.faults = Some(chaos.clone());
     if let Some(t) = task_timeout {
         cfg.task_timeout = t;
     }
@@ -134,32 +134,31 @@ fn assert_recovers_from(policy: TransportPolicy, task_timeout: Option<Duration>)
 
 #[test]
 fn worker_killed_mid_task_is_detected_and_reassigned() {
-    assert_recovers_from(TransportPolicy::KillWorker, None);
+    assert_recovers_from(Fault::KillWorker, None);
 }
 
 #[test]
 fn corrupt_task_frame_fail_stops_the_worker_and_recovers() {
-    assert_recovers_from(TransportPolicy::CorruptFrame, None);
+    assert_recovers_from(Fault::CorruptFrame, None);
 }
 
 #[test]
 fn dropped_task_frame_recovers_via_task_deadline() {
-    assert_recovers_from(TransportPolicy::DropFrame, Some(Duration::from_millis(400)));
+    assert_recovers_from(Fault::DropFrame, Some(Duration::from_millis(400)));
 }
 
 #[test]
 fn truncated_task_frame_recovers_via_task_deadline() {
-    assert_recovers_from(TransportPolicy::TruncateFrame, Some(Duration::from_millis(400)));
+    assert_recovers_from(Fault::TruncateFrame, Some(Duration::from_millis(400)));
 }
 
 #[test]
 fn delayed_task_frame_completes_without_loss() {
     let inputs: Vec<Vec<i64>> = (0..4).map(|t| vec![t, t + 1, t + 2]).collect();
     let tasks: Vec<DistTask> = inputs.iter().map(|rows| add_even_task(rows, 2)).collect();
-    let chaos =
-        Arc::new(TransportChaos::once(TransportPolicy::DelayFrame(Duration::from_millis(50))));
+    let chaos = Arc::new(FaultPlan::once(Fault::DelayFrame(Duration::from_millis(50))));
     let mut cfg = pool_config(2);
-    cfg.chaos = Some(chaos.clone());
+    cfg.faults = Some(chaos.clone());
     let mut pool = WorkerPool::spawn(cfg).unwrap();
     let results = pool.execute(&tasks).unwrap();
     for (input, result) in inputs.iter().zip(&results) {
@@ -176,11 +175,11 @@ fn respawned_seat_restores_capacity_for_the_next_job() {
     let tasks: Vec<DistTask> = inputs.iter().map(|rows| add_even_task(rows, 1)).collect();
 
     let mut cfg = pool_config(3);
-    cfg.chaos = Some(Arc::new(TransportChaos::once(TransportPolicy::KillWorker)));
+    cfg.faults = Some(Arc::new(FaultPlan::once(Fault::KillWorker)));
     cfg.respawn_backoff = Duration::from_millis(10);
     let mut pool = WorkerPool::spawn(cfg).unwrap();
 
-    // Job 1 loses a worker; healing restores the seat (the chaos policy
+    // Job 1 loses a worker; healing restores the seat (the fault plan
     // is exhausted after its single strike), and job 2 sees a full pool.
     let first = pool.execute(&tasks).unwrap();
     assert_eq!(pool.heal(Duration::from_secs(5)), 3, "heal must restore the dead seat");
@@ -313,11 +312,8 @@ fn torn_fetches_recover_with_one_retry_per_strike() {
     let mut cfg = pool_config(3);
     // strikes are counted per serving process, so scope the fault to the
     // one worker serving task-0 buckets to pin the total at 2
-    cfg.fetch_chaos = Some(
-        FetchChaos::once(FetchPolicy::DropBucket)
-            .with_max_strikes(2)
-            .with_key_filter("task-00000/"),
-    );
+    let rule = FaultRule::new(Fault::DropBucket, Scope::Key("task-00000/".into()));
+    cfg.faults = Some(Arc::new(FaultPlan::new(0, vec![FaultRule { strikes: Some(2), ..rule }])));
     let mut pool = WorkerPool::spawn(cfg).unwrap();
     let results = pool.run_shuffle(&map_tasks, &shuffle_spec("rs/torn")).unwrap();
 
@@ -340,9 +336,11 @@ fn killed_serving_worker_regenerates_its_outputs_via_lineage() {
 
     let mut cfg = pool_config(3);
     // Exactly one worker dies: the first fetch of a task-0 bucket kills
-    // its server; regenerated outputs live at epoch 1, above max_epoch.
-    cfg.fetch_chaos =
-        Some(FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/"));
+    // its server; regenerated outputs live at epoch 1, past the rule's
+    // one-attempt gate.
+    let kill = FaultRule::once(Fault::KillServingWorker);
+    let kill = FaultRule { scope: Scope::Key("task-00000/".into()), ..kill };
+    cfg.faults = Some(Arc::new(FaultPlan::new(0, vec![kill])));
     cfg.respawn_backoff = Duration::from_millis(10);
     let mut pool = WorkerPool::spawn(cfg).unwrap();
     let results = pool.run_shuffle(&map_tasks, &shuffle_spec("rs/kill")).unwrap();

@@ -24,8 +24,7 @@ use stark_engine::plan::{
 };
 use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    ShuffleMode, ShuffleSpec, TaskResult, TransportChaos, TransportPolicy, WorkerPool,
-    WorkerPoolConfig,
+    Fault, FaultPlan, ShuffleMode, ShuffleSpec, TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
@@ -69,17 +68,17 @@ fn grid_routing(grid: &GridPartitioner) -> Routing {
     ("grid", to_arg(grid), grid.num_partitions())
 }
 
-fn kill_pool(workers: usize) -> (WorkerPool, Arc<TransportChaos>) {
-    let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
+fn kill_pool(workers: usize) -> (WorkerPool, Arc<FaultPlan>) {
+    let chaos = Arc::new(FaultPlan::once(Fault::KillWorker));
     let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
-    cfg.chaos = Some(chaos.clone());
+    cfg.faults = Some(chaos.clone());
     (WorkerPool::spawn(cfg).expect("spawn chaos pool"), chaos)
 }
 
 /// Shuffle `data` through the `routing` partitioner inside the workers,
 /// then run `ops`+`sink` per partition over the fetched buckets. The
-/// chaos policy (if any) strikes the first map-stage dispatch:
+/// fault plan (if any) strikes the first map-stage dispatch:
 /// mid-shuffle.
 fn two_stage(
     pool: &mut WorkerPool,
@@ -129,7 +128,7 @@ fn sorted_ids(results: &[TaskResult]) -> Vec<u64> {
     ids
 }
 
-fn assert_exactly_one_kill(pool: &WorkerPool, chaos: &TransportChaos) {
+fn assert_exactly_one_kill(pool: &WorkerPool, chaos: &FaultPlan) {
     let stats = pool.stats();
     assert_eq!(chaos.injected(), 1, "one-shot chaos must have struck");
     assert_eq!(

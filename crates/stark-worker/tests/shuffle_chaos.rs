@@ -15,7 +15,10 @@
 //! 3. for any injected fault sequence below the retry budget the job
 //!    converges byte-identical to the clean run with `fetch_retries`
 //!    equal to the injected strike count (each struck transfer costs
-//!    exactly one retry, never more).
+//!    exactly one retry, never more);
+//! 4. a dispatch fault and a fetch fault from one [`FaultPlan`] in the
+//!    same job each recover through their own path: the killed map
+//!    task is reassigned once, the lost outputs are regenerated once.
 //!
 //! Set `STARK_CHAOS_SEED=<u64>` to replay with a different dataset seed
 //! (CI pins one).
@@ -26,10 +29,12 @@ use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink};
 use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TaskResult, WorkerPool, WorkerPoolConfig,
+    Fault, FaultPlan, FaultRule, Scope, ShuffleMode, ShuffleSpec, TaskResult, WorkerPool,
+    WorkerPoolConfig,
 };
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
+use std::sync::Arc;
 use std::time::Duration;
 
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
@@ -60,10 +65,18 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
     GridPartitioner::build(4, &summary)
 }
 
-fn shuffle_pool(workers: usize, fetch_chaos: Option<FetchChaos>) -> WorkerPool {
+/// A fetch rule striking at most `strikes` requests for map task 0's
+/// buckets. Strikes are counted per serving process, so scoping them to
+/// the one worker serving those buckets pins the total exactly.
+fn task0_rule(fault: Fault, strikes: u64) -> FaultRule {
+    let rule = FaultRule::new(fault, Scope::Key("task-00000/".into()));
+    FaultRule { strikes: Some(strikes), ..rule }
+}
+
+fn shuffle_pool(workers: usize, faults: Option<Arc<FaultPlan>>) -> WorkerPool {
     let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
-    cfg.fetch_chaos = fetch_chaos;
+    cfg.faults = faults;
     cfg.respawn_backoff = Duration::from_millis(10);
     WorkerPool::spawn(cfg).expect("spawn shuffle pool")
 }
@@ -227,10 +240,10 @@ fn killing_a_serving_worker_regenerates_exactly_the_lost_outputs() {
     assert!(!reference.is_empty(), "the query box must select something");
 
     // The first fetch of a task-0 bucket kills the worker serving it;
-    // regenerated outputs land at epoch 1, above the chaos `max_epoch`,
-    // so recovery traffic is never struck again.
-    let chaos = FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/");
-    let mut pool = shuffle_pool(4, Some(chaos));
+    // regenerated outputs land at epoch 1, past the rule's one-attempt
+    // gate, so recovery traffic is never struck again.
+    let chaos = FaultPlan::new(0, vec![task0_rule(Fault::KillServingWorker, 1)]);
+    let mut pool = shuffle_pool(4, Some(Arc::new(chaos)));
     let results = pool
         .run_shuffle(&maps, &grid_spec(&grid, "sc/kill", vec![st_filter_op()], PlanSink::Collect))
         .expect("remote shuffle with kill chaos");
@@ -251,6 +264,43 @@ fn killing_a_serving_worker_regenerates_exactly_the_lost_outputs() {
     pool.shutdown();
 }
 
+#[test]
+fn a_dispatch_kill_and_a_fetch_kill_in_one_job_each_recover_once() {
+    let data = events(chaos_seed() ^ 0xC0DE, 2_000);
+    let grid = grid_for(&data);
+    let maps = map_tasks_for(&data, 8);
+    let spec = grid_spec(&grid, "sc/compound", vec![st_filter_op()], PlanSink::Collect);
+
+    let mut clean_pool = shuffle_pool(4, None);
+    let clean = clean_pool.run_shuffle(&maps, &spec).expect("clean remote shuffle");
+    clean_pool.shutdown();
+
+    // One plan, two sites: the first dispatch kills its worker in the
+    // map stage, and the first fetch of a task-0 bucket kills the worker
+    // serving it in the reduce stage.
+    let plan = Arc::new(FaultPlan::new(
+        chaos_seed(),
+        vec![FaultRule::once(Fault::KillWorker), task0_rule(Fault::KillServingWorker, 1)],
+    ));
+    let mut pool = shuffle_pool(4, Some(plan.clone()));
+    let struck = pool.run_shuffle(&maps, &spec).expect("remote shuffle under both kills");
+
+    assert_results_identical(&clean, &struck, "compound faults");
+    let stats = pool.stats();
+    assert_eq!(plan.injected(), 1, "the driver strikes one dispatch; workers count fetch strikes");
+    assert_eq!(
+        stats.tasks_reassigned,
+        plan.injected(),
+        "only the dispatch kill costs a reassignment"
+    );
+    assert_eq!(
+        stats.map_outputs_regenerated, stats.map_outputs_lost,
+        "lineage must regenerate exactly the lost outputs"
+    );
+    assert!(stats.workers_lost >= 2, "both kills must have taken a worker down");
+    pool.shutdown();
+}
+
 proptest! {
     // Forking real processes is expensive; a few drawn cases suffice on
     // top of the fixed-seed end-to-end tests above.
@@ -265,8 +315,7 @@ proptest! {
         policy_idx in 0usize..3,
         strikes in 0u64..=3,
     ) {
-        let policy = [FetchPolicy::RefuseFetch, FetchPolicy::DropBucket, FetchPolicy::CorruptBucket]
-            [policy_idx];
+        let fault = [Fault::RefuseFetch, Fault::DropBucket, Fault::CorruptBucket][policy_idx];
         let data = events(seed, 600);
         let grid = grid_for(&data);
         let maps = map_tasks_for(&data, 6);
@@ -280,12 +329,8 @@ proptest! {
             .expect("clean remote shuffle");
         clean_pool.shutdown();
 
-        // Strikes are counted per serving process; scoping them to the
-        // worker serving task-0 buckets pins the total exactly.
-        let chaos = FetchChaos::once(policy)
-            .with_max_strikes(strikes)
-            .with_key_filter("task-00000/");
-        let mut pool = shuffle_pool(3, Some(chaos));
+        let chaos = FaultPlan::new(0, vec![task0_rule(fault, strikes)]);
+        let mut pool = shuffle_pool(3, Some(Arc::new(chaos)));
         let struck = pool
             .run_shuffle(
                 &maps,

@@ -1,5 +1,5 @@
 //! Deterministic chaos harness: every pipeline the paper exercises must
-//! return fault-free results while a seeded [`FaultInjector`] kills,
+//! return fault-free results while a seeded [`FaultPlan`] kills,
 //! delays or transiently fails tasks underneath it.
 //!
 //! The property tests draw injector seeds, fault rates, policies *and
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use stark::{GridPartitioner, JoinConfig, STObject, STPredicate, SpatialRdd, SpatialRddExt};
-use stark_engine::{Context, EngineConfig, FaultInjector, FaultPolicy, FaultScope, ObjectStore};
+use stark_engine::{Context, EngineConfig, Fault, FaultPlan, FaultRule, ObjectStore, Scope};
 use stark_eventsim::EventGenerator;
 use stark_geo::{DistanceFn, Envelope};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ fn chaos_seed() -> (u64, bool) {
     }
 }
 
-fn chaos_ctx(injector: Option<Arc<FaultInjector>>) -> Context {
+fn chaos_ctx(injector: Option<Arc<FaultPlan>>) -> Context {
     chaos_ctx_spec(injector, false)
 }
 
@@ -39,7 +39,7 @@ fn chaos_ctx(injector: Option<Arc<FaultInjector>>) -> Context {
 /// `STARK_MEMORY_BUDGET=<bytes>` to cap the context's memory budget
 /// (the CI memory-chaos job pins a tight one), so every invariant in
 /// this file is additionally exercised under spill-and-evict pressure.
-fn chaos_ctx_spec(injector: Option<Arc<FaultInjector>>, speculate: bool) -> Context {
+fn chaos_ctx_spec(injector: Option<Arc<FaultPlan>>, speculate: bool) -> Context {
     let memory_budget = std::env::var("STARK_MEMORY_BUDGET")
         .ok()
         .map(|s| s.trim().parse().expect("STARK_MEMORY_BUDGET must be a u64"));
@@ -59,35 +59,23 @@ fn chaos_ctx_spec(injector: Option<Arc<FaultInjector>>, speculate: bool) -> Cont
 /// injector and whether its policy triggers retries (Delay injects
 /// latency and MemoryPressure shrinks the effective budget; neither
 /// fails the task).
-fn drawn_injector(seed: u64, rate: f64, policy_sel: u8) -> (Arc<FaultInjector>, bool) {
-    let scope = FaultScope::Probability(rate);
-    match policy_sel {
-        0 => (Arc::new(FaultInjector::new(seed, scope, FaultPolicy::Transient)), true),
-        1 => (
-            Arc::new(FaultInjector::new(seed, scope, FaultPolicy::Transient).with_fail_attempts(2)),
-            true,
-        ),
-        2 => (
-            // shrink the effective budget to ~16 KiB mid-job: shuffles
-            // spill and caches evict, but no task may fail
-            Arc::new(FaultInjector::memory_pressure(seed, rate, 16 * 1024)),
-            false,
-        ),
-        _ => (
-            Arc::new(FaultInjector::new(
-                seed,
-                scope,
-                FaultPolicy::Delay(Duration::from_micros(50)),
-            )),
-            false,
-        ),
-    }
+fn drawn_injector(seed: u64, rate: f64, policy_sel: u8) -> (Arc<FaultPlan>, bool) {
+    let rule = |fault| FaultRule::new(fault, Scope::Probability(rate));
+    let (rule, retries) = match policy_sel {
+        0 => (rule(Fault::Transient), true),
+        1 => (FaultRule { attempts: 2, ..rule(Fault::Transient) }, true),
+        // shrink the effective budget to ~16 KiB mid-job: shuffles
+        // spill and caches evict, but no task may fail
+        2 => (rule(Fault::MemoryPressure(16 * 1024)), false),
+        _ => (rule(Fault::Delay(Duration::from_micros(50))), false),
+    };
+    (Arc::new(FaultPlan::new(seed, vec![rule])), retries)
 }
 
 /// Retry bookkeeping that holds for every recoverable policy: transient
 /// faults retry once per injection, delays never retry, and nothing
 /// fails permanently.
-fn assert_retry_invariants(ctx: &Context, chaos: &FaultInjector, retries_expected: bool) {
+fn assert_retry_invariants(ctx: &Context, chaos: &FaultPlan, retries_expected: bool) {
     let m = ctx.metrics();
     assert_eq!(m.tasks_failed_permanently, 0, "recoverable faults must never exhaust retries");
     if retries_expected {
@@ -183,11 +171,7 @@ proptest! {
         let expect: Vec<i64> = data.iter().map(|&x| x as i64 * 11 + 5).collect();
         // a third of the cached dataset (8 bytes per mapped element)
         let budget = ((data.len() * 8) as u64 / 3).max(64);
-        let chaos = Arc::new(FaultInjector::new(
-            fault_seed,
-            FaultScope::Probability(rate),
-            FaultPolicy::Transient,
-        ));
+        let chaos = Arc::new(FaultPlan::new(fault_seed, vec![FaultRule::new(Fault::Transient, Scope::Probability(rate))]));
         let ctx = Context::with_config(EngineConfig {
             parallelism: 4,
             max_task_retries: 3,
@@ -303,7 +287,7 @@ fn a1_pipeline_chaos_run_is_byte_identical() {
     assert!(!clean.is_empty());
 
     // chaos, recovery purely via lineage recomputation
-    let chaos = Arc::new(FaultInjector::transient(seed, 0.10));
+    let chaos = Arc::new(FaultPlan::transient(seed, 0.10));
     let ctx = chaos_ctx(Some(Arc::clone(&chaos)));
     let faulty = a1_result_bytes(&ctx, None);
     assert_eq!(clean, faulty, "chaos run diverged from the clean run (seed {seed})");
@@ -315,7 +299,7 @@ fn a1_pipeline_chaos_run_is_byte_identical() {
     // chaos again, with a mid-pipeline checkpoint absorbing the lineage
     let dir = std::env::temp_dir().join(format!("stark-chaos-{}", std::process::id()));
     let store = ObjectStore::open(dir.join("store")).expect("object store");
-    let chaos_ck = Arc::new(FaultInjector::transient(seed, 0.10));
+    let chaos_ck = Arc::new(FaultPlan::transient(seed, 0.10));
     let ctx_ck = chaos_ctx(Some(Arc::clone(&chaos_ck)));
     let faulty_ck = a1_result_bytes(&ctx_ck, Some(&store));
     assert_eq!(clean, faulty_ck, "checkpointed chaos run diverged (seed {seed})");
@@ -333,10 +317,9 @@ fn a1_pipeline_with_speculation_stays_byte_identical() {
     let (seed, _) = chaos_seed();
     let clean = a1_result_bytes(&chaos_ctx(None), None);
 
-    let chaos = Arc::new(FaultInjector::new(
+    let chaos = Arc::new(FaultPlan::new(
         seed,
-        FaultScope::Probability(0.20),
-        FaultPolicy::Delay(Duration::from_millis(40)),
+        vec![FaultRule::new(Fault::Delay(Duration::from_millis(40)), Scope::Probability(0.20))],
     ));
     let ctx = chaos_ctx_spec(Some(Arc::clone(&chaos)), true);
     let speculative = a1_result_bytes(&ctx, None);
