@@ -190,19 +190,26 @@ impl<T: PartialEq> PartialEq for Partition<T> {
     }
 }
 
-/// Serialises as a plain JSON array — the on-store format used by
-/// [`Rdd::checkpoint`](crate::Rdd), so a checkpointed partition blob is
-/// interchangeable with a serialised `Vec<T>`. The columnar sidecar is
-/// never persisted; a deserialised partition rebuilds it on first use.
+/// Serialises exactly as the `Vec<T>` of its rows, in both the `Value`
+/// and the binary form, so a partition blob is interchangeable with an
+/// encoded row vector ([`encode_rows`](crate::plan::encode_rows)). The
+/// columnar sidecar is never persisted; a deserialised partition
+/// rebuilds it on first use.
 impl<T: serde::Serialize> serde::Serialize for Partition<T> {
     fn to_value(&self) -> serde::Value {
         self.as_slice().to_value()
+    }
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        self.as_slice().write_bin(out)
     }
 }
 
 impl<T: serde::Deserialize> serde::Deserialize for Partition<T> {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         Ok(Partition::from_vec(Vec::<T>::from_value(v)?))
+    }
+    fn read_bin(r: &mut serde::BinReader<'_>) -> Result<Self, serde::Error> {
+        Ok(Partition::from_vec(r.seq()?))
     }
 }
 
@@ -378,6 +385,9 @@ mod tests {
         let v = p.to_value();
         let back = Partition::<i64>::from_value(&v).expect("roundtrip");
         assert_eq!(back, p);
+        let blob = serde::bin::to_vec(&p);
+        assert_eq!(blob, crate::plan::encode_rows(p.as_slice()).unwrap());
+        assert_eq!(serde::bin::from_slice::<Partition<i64>>(&blob).unwrap(), p);
         let n = back.to_columns(|rows| rows.len());
         assert_eq!(*n, 3);
     }

@@ -7,7 +7,8 @@
 //! count, shuffle write, checkpoint), and an input source (rows shipped
 //! inline with the task, or shuffle buckets fetched from the peer
 //! workers that produced them). A fragment serialises to JSON and ships
-//! inside one STK1 frame.
+//! inside one STK1 frame; the rows themselves never do — they travel as
+//! binary [`encode_rows`] blobs in frames of their own.
 //!
 //! Closures do not serialise, so ops are *named*: driver and worker both
 //! build an [`OpRegistry`] that maps op names to closure factories, and
@@ -54,7 +55,7 @@ pub struct PlanFragment {
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum PlanInput {
     /// The input rows travel with the task as one raw payload frame
-    /// (JSON-encoded `Vec<T>`).
+    /// (an [`encode_rows`] blob).
     Inline,
     /// Shuffle read: fetch each bucket from the peer worker that
     /// produced it, in map-task order, and concatenate. A fetch that
@@ -75,7 +76,7 @@ pub enum PlanOp {
 /// Terminal operation of a plan fragment.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum PlanSink {
-    /// Ship the resulting rows back (JSON `Vec<T>` payload frame).
+    /// Ship the resulting rows back (an [`encode_rows`] payload frame).
     Collect,
     /// Ship only the row count back.
     Count,
@@ -111,8 +112,8 @@ pub enum PlanSink {
 /// metadata.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum TaskOutput {
-    /// `PlanSink::Collect` result: the JSON `Vec<T>` payload frame that
-    /// follows holds `rows` rows in `bytes` bytes.
+    /// `PlanSink::Collect` result: the [`encode_rows`] payload frame
+    /// that follows holds `rows` rows in `bytes` bytes.
     Rows { rows: u64, bytes: u64 },
     /// `PlanSink::Count` result.
     Count(u64),
@@ -218,8 +219,8 @@ impl From<StorageError> for PlanError {
     }
 }
 
-impl From<serde_json::Error> for PlanError {
-    fn from(e: serde_json::Error) -> Self {
+impl From<serde::Error> for PlanError {
+    fn from(e: serde::Error) -> Self {
         PlanError::Serde(e.to_string())
     }
 }
@@ -243,16 +244,27 @@ pub fn is_retryable(e: &PlanError) -> bool {
 // Row codec
 // ---------------------------------------------------------------------------
 
-/// Encodes a row slice as the canonical payload format (JSON array —
-/// the same encoding the object store's `put_json` family uses, so
-/// checkpoint blobs and shuffle buckets interoperate with local reads).
+/// Encodes a row slice as the canonical row blob: the shim's binary
+/// form (`u32` row count, then each row's fields in declaration order,
+/// no names, no `Value` tree). Every row blob uses it — inline task
+/// input, shuffle buckets, `Collect` payloads, worker checkpoints, and
+/// the in-process shuffle's spill and checkpoint files — so blobs
+/// written by a worker are readable by a local engine and vice versa.
 pub fn encode_rows<T: Serialize>(rows: &[T]) -> Result<Vec<u8>, PlanError> {
-    Ok(serde_json::to_vec(rows)?)
+    Ok(serde::bin::to_vec(rows))
 }
 
-/// Decodes a payload frame back into rows.
+/// Decodes a row blob written by [`encode_rows`]. Truncated, mangled or
+/// over-long input is a [`PlanError::Serde`], never a panic, and a
+/// count prefix larger than the blob allocates nothing.
 pub fn decode_rows<T: DeserializeOwned>(bytes: &[u8]) -> Result<Vec<T>, PlanError> {
-    Ok(serde_json::from_slice(bytes)?)
+    // The frozen benchmark adapter's `Pool::empty_task`
+    // (bench/src/layers.rs) still sends the old JSON empty array as its
+    // inline payload; those two bytes, and nothing else, read as zero rows.
+    if bytes == b"[]" {
+        return Ok(Vec::new());
+    }
+    Ok(serde::bin::from_slice(bytes)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -817,7 +829,7 @@ mod tests {
                 assert_eq!(key, "ck/job/part-00002");
                 assert_eq!(rows, 3);
                 // byte-compatible with Rdd::checkpoint's blob format
-                let back: Vec<i64> = store.get_json(&key).unwrap();
+                let back: Vec<i64> = decode_rows(&store.get_bytes(&key).unwrap()).unwrap();
                 assert_eq!(back, vec![7, 8, 9]);
             }
             other => panic!("expected Checkpointed, got {other:?}"),

@@ -28,6 +28,7 @@ pub use crate::executor::{TaskError, TaskErrorKind};
 use crate::fault::splitmix64;
 use crate::memory::{MemoryReservation, VictimState};
 use crate::partition::Partition;
+use crate::plan::{decode_rows, encode_rows, PlanError};
 use crate::storage::{ObjectStore, StorageError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -427,7 +428,7 @@ impl<T: StoreData> ShuffledRdd<T> {
                             let store = self.ctx.spill_store();
                             for b in written {
                                 let key = spill_bucket_key(shuffle, task, b);
-                                let data: Vec<T> = store.get_json(&key).unwrap_or_else(|e| {
+                                let data: Vec<T> = read_rows(store, &key).unwrap_or_else(|e| {
                                     panic!("spilled shuffle bucket {key:?} unreadable: {e}")
                                 });
                                 merged[b].extend(data);
@@ -459,8 +460,7 @@ impl<T: StoreData> ShuffledRdd<T> {
                 continue;
             }
             let key = spill_bucket_key(shuffle, task, b);
-            spilled += store
-                .put_json_sized(&key, bucket.as_slice())
+            spilled += write_rows(store, &key, bucket)
                 .unwrap_or_else(|e| panic!("spilling shuffle bucket {key:?} failed: {e}"));
             written.push(b);
         }
@@ -576,6 +576,23 @@ impl<T: Data> RddImpl<T> for CachedRdd<T> {
 // checkpointing
 // ---------------------------------------------------------------------------
 
+/// Writes `rows` under `key` as one [`encode_rows`] blob (a spilled
+/// shuffle bucket or a checkpoint partition), returning its size.
+fn write_rows<T: StoreData>(
+    store: &ObjectStore,
+    key: &str,
+    rows: &[T],
+) -> Result<u64, StorageError> {
+    let data = encode_rows(rows).map_err(|e| StorageError::Serde(e.to_string()))?;
+    store.put_bytes(key, &data)?;
+    Ok(data.len() as u64)
+}
+
+/// Reads back a blob written by [`write_rows`].
+fn read_rows<T: StoreData>(store: &ObjectStore, key: &str) -> Result<Vec<T>, PlanError> {
+    decode_rows(&store.get_bytes(key)?)
+}
+
 /// Object-store key of one checkpointed partition blob. Public so the
 /// distributed checkpoint sink (`plan::PlanSink::Checkpoint`, executed
 /// on a worker) writes blobs at exactly the keys a local
@@ -614,7 +631,7 @@ impl<T: StoreData> RddImpl<T> for CheckpointRdd<T> {
         // Recovery path: the in-memory copy was evicted (task failure,
         // or memory pressure), so read the persisted blob back.
         let blob = checkpoint_blob_key(&self.key, partition);
-        match self.store.get_json::<Vec<T>>(&blob) {
+        match read_rows::<T>(&self.store, &blob) {
             Ok(data) => {
                 let p = Partition::from_vec(data);
                 // Re-admit to memory only if the budget allows; an
@@ -1033,12 +1050,12 @@ impl<T: Data> Rdd<T> {
     // -- actions ------------------------------------------------------------
 
     /// Eagerly computes this dataset and persists every partition to the
-    /// object store under `key` (one JSON blob per partition plus a
-    /// `manifest`), returning a dataset whose lineage is *truncated* to
-    /// the checkpoint. Reads serve from memory; if a later task failure
-    /// evicts a partition, recovery re-reads the blob from the store
-    /// instead of recomputing the (discarded) upstream lineage —
-    /// Spark's `RDD.checkpoint`.
+    /// object store under `key` (one [`encode_rows`] blob per partition
+    /// plus a JSON `manifest`), returning a dataset whose lineage is
+    /// *truncated* to the checkpoint. Reads serve from memory; if a later
+    /// task failure evicts a partition, recovery re-reads the blob from
+    /// the store instead of recomputing the (discarded) upstream lineage
+    /// — Spark's `RDD.checkpoint`.
     ///
     /// The serialised volume is recorded in
     /// [`MetricsSnapshot::checkpoint_bytes`](crate::MetricsSnapshot).
@@ -1052,7 +1069,7 @@ impl<T: Data> Rdd<T> {
         let parts = self.run_partitions(|_, data| data);
         let mut total_bytes = 0u64;
         for (i, p) in parts.iter().enumerate() {
-            total_bytes += store.put_json_sized(&checkpoint_blob_key(key, i), p.as_slice())?;
+            total_bytes += write_rows(store, &checkpoint_blob_key(key, i), p.as_slice())?;
         }
         store.put_json(&format!("{key}/manifest"), &(parts.len() as u64))?;
         self.ctx.raw_metrics().add_checkpoint_bytes(total_bytes);
@@ -2115,6 +2132,49 @@ mod tests {
         assert!(m.spill_blobs_written > 0);
         // blobs are deleted as they are merged back
         assert_eq!(tight.spill_store().list("spill").unwrap(), Vec::<String>::new());
+    }
+
+    /// Rows whose floats a text codec does not keep bit for bit: `-0.0`
+    /// (written `-0`, read back as the integer 0) and a NaN payload.
+    fn edge_float_rows() -> Vec<(u64, f64)> {
+        let edges =
+            [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::from_bits(0x7ff8_0000_dead_beef), 0.0];
+        (0..1024u64).map(|i| (i, edges[i as usize % edges.len()])).collect()
+    }
+
+    fn float_bits(rows: &[(u64, f64)]) -> Vec<(u64, u64)> {
+        rows.iter().map(|(i, x)| (*i, x.to_bits())).collect()
+    }
+
+    #[test]
+    fn spilled_and_checkpointed_floats_keep_their_exact_bits() {
+        let data = edge_float_rows();
+        let route = |row: &(u64, f64)| (row.0 % 8) as usize;
+        let unbounded = ctx();
+        let expected = unbounded.parallelize(data.clone(), 8).partition_by(8, route).collect();
+        let peak = unbounded.metrics().bytes_reserved_peak;
+
+        let tight = Context::with_config(EngineConfig {
+            parallelism: 4,
+            default_partitions: 8,
+            memory_budget: Some((peak / 4).max(1)),
+            ..EngineConfig::default()
+        });
+        let spilled = tight.parallelize(data.clone(), 8).partition_by(8, route).collect();
+        assert!(tight.metrics().spill_blobs_written > 0, "the budget must force a spill");
+        assert_eq!(float_bits(&spilled), float_bits(&expected));
+
+        // a one-byte budget admits no checkpoint cell: every read is a
+        // recovery read of the persisted blob
+        let store = temp_store("edge-floats");
+        let none = Context::with_config(EngineConfig {
+            parallelism: 2,
+            default_partitions: 4,
+            memory_budget: Some(1),
+            ..EngineConfig::default()
+        });
+        let cp = none.parallelize(data.clone(), 4).checkpoint(&store, "ck/edge").unwrap();
+        assert_eq!(float_bits(&cp.collect()), float_bits(&data));
     }
 
     #[test]

@@ -23,7 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub enum StorageError {
     Io(std::io::Error),
-    Serde(serde_json::Error),
+    /// A payload failed to encode or decode (JSON or binary rows).
+    Serde(String),
     InvalidKey(String),
     NotFound(String),
     /// The object's stored checksum (or frame header) does not match its
@@ -55,7 +56,7 @@ impl From<std::io::Error> for StorageError {
 
 impl From<serde_json::Error> for StorageError {
     fn from(e: serde_json::Error) -> Self {
-        StorageError::Serde(e)
+        StorageError::Serde(e.to_string())
     }
 }
 
@@ -161,19 +162,6 @@ impl ObjectStore {
     pub fn put_json<T: Serialize>(&self, key: &str, value: &T) -> Result<(), StorageError> {
         let data = serde_json::to_vec(value)?;
         self.put_bytes(key, &data)
-    }
-
-    /// [`ObjectStore::put_json`] that also reports the serialised size
-    /// in bytes — used by checkpointing to account persisted volume.
-    /// Accepts unsized values (e.g. a `[T]` partition slice).
-    pub fn put_json_sized<T: Serialize + ?Sized>(
-        &self,
-        key: &str,
-        value: &T,
-    ) -> Result<u64, StorageError> {
-        let data = serde_json::to_vec(value)?;
-        self.put_bytes(key, &data)?;
-        Ok(data.len() as u64)
     }
 
     /// Deserialises the JSON object stored under `key`.

@@ -12,9 +12,12 @@
 //! Row data never rides inside the JSON envelope: a task's inline input
 //! and a `Collect` result's rows each travel as their own *raw* frame
 //! immediately after the control frame that announces them (see
-//! [`DriverMsg::Task::has_payload`] and [`TaskOutput::has_payload`]).
-//! JSON keeps the protocol debuggable; the frame header catches
-//! truncation and corruption before serde sees the bytes — a torn or
+//! [`DriverMsg::Task::has_payload`] and [`TaskOutput::has_payload`]),
+//! holding a binary [`encode_rows`](crate::plan::encode_rows) blob — the
+//! same bytes a peer fetch serves for a shuffle bucket. JSON keeps the
+//! small control protocol debuggable; the binary row codec keeps the
+//! bulk of the traffic compact. The frame header catches truncation and
+//! corruption before either decoder sees the bytes — a torn or
 //! bit-flipped frame surfaces as `InvalidData`, which a worker treats as
 //! fatal (fail-stop) so every transport fault funnels into the driver's
 //! single worker-loss recovery path.

@@ -1,11 +1,12 @@
-//! Property tests of the JSON row codec and of the vendored parser under
-//! it: arbitrary strings round-trip byte-identically, hand-written `\u`
+//! Property tests of the vendored JSON codec, which still parses every
+//! control frame (`recv_msg`), op argument and collector output:
+//! arbitrary strings round-trip byte-identically, hand-written `\u`
 //! escapes decode, every truncated or mangled document is a typed error
 //! (never a panic), and hostile nesting is refused before it can
-//! overflow the stack of a process decoding untrusted frames.
+//! overflow the stack of a process decoding untrusted frames. Row blobs
+//! use the binary codec instead; `row_codec.rs` holds its properties.
 
 use proptest::prelude::*;
-use stark_engine::plan::{decode_rows, encode_rows};
 use stark_engine::transport::{recv_msg, write_frame, DriverMsg};
 use std::io::{Cursor, ErrorKind};
 
@@ -45,6 +46,14 @@ fn any_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((any::<u64>(), any_string()), 0..8)
 }
 
+fn encode(rows: &[Row]) -> Vec<u8> {
+    serde_json::to_vec(rows).unwrap()
+}
+
+fn decode(doc: &[u8]) -> Result<Vec<Row>, serde_json::Error> {
+    serde_json::from_slice(doc)
+}
+
 /// `s` as a JSON string literal with *every* char written as a `\u`
 /// escape — astral chars as surrogate pairs — the way an ASCII-only
 /// encoder in another language would send it.
@@ -65,26 +74,26 @@ proptest! {
 
     #[test]
     fn rows_with_arbitrary_strings_roundtrip(rows in any_rows()) {
-        let doc = encode_rows(&rows).unwrap();
-        let back: Vec<Row> = decode_rows(&doc).unwrap();
+        let doc = encode(&rows);
+        let back = decode(&doc).unwrap();
         prop_assert_eq!(&back, &rows);
         // and the re-encoding is byte-identical
-        prop_assert_eq!(encode_rows(&back).unwrap(), doc);
+        prop_assert_eq!(encode(&back), doc);
     }
 
     #[test]
     fn escaped_strings_decode_to_the_original(s in any_string()) {
         let doc = format!("[[7,{}]]", escape_all(&s));
-        let back: Vec<Row> = decode_rows(doc.as_bytes()).unwrap();
+        let back = decode(doc.as_bytes()).unwrap();
         prop_assert_eq!(back, vec![(7, s)]);
     }
 
     #[test]
     fn every_truncation_of_a_document_is_an_error(rows in any_rows()) {
-        let doc = encode_rows(&rows).unwrap();
+        let doc = encode(&rows);
         for cut in 0..doc.len() {
             prop_assert!(
-                decode_rows::<Row>(&doc[..cut]).is_err(),
+                decode(&doc[..cut]).is_err(),
                 "prefix of {} of {} bytes decoded: {:?}",
                 cut,
                 doc.len(),
@@ -100,7 +109,7 @@ proptest! {
         byte in any::<u8>(),
         insert in any::<bool>(),
     ) {
-        let mut doc = encode_rows(&rows).unwrap();
+        let mut doc = encode(&rows);
         let at = at % (doc.len() + 1);
         if insert || at == doc.len() {
             doc.insert(at, byte);
@@ -108,7 +117,7 @@ proptest! {
             doc[at] = byte;
         }
         // Ok or Err are both fine; reaching the next line is the property
-        let _ = decode_rows::<Row>(&doc);
+        let _ = decode(&doc);
     }
 }
 

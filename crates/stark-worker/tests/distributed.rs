@@ -96,7 +96,8 @@ fn checkpoint_sink_writes_recoverable_blobs_remotely() {
         other => panic!("expected checkpoint output, got {other:?}"),
     }
     // The blob a worker wrote is readable as a local checkpoint blob.
-    let back: Vec<i64> = pool.store().get_json("ck/job7/part-00003").unwrap();
+    let back: Vec<i64> =
+        decode_rows(&pool.store().get_bytes("ck/job7/part-00003").unwrap()).unwrap();
     assert_eq!(back, (0..40).map(|x| x * 2).collect::<Vec<i64>>());
     pool.shutdown();
 }

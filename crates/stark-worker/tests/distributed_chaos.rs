@@ -239,7 +239,8 @@ fn worker_kill_mid_checkpoint_leaves_recoverable_blobs() {
             }
             other => panic!("expected checkpoint output, got {other:?}"),
         };
-        let back: Vec<EventRow> = pool.store().get_json(&key).expect("read checkpoint blob");
+        let blob = pool.store().get_bytes(&key).expect("read checkpoint blob");
+        let back: Vec<EventRow> = decode_rows(&blob).expect("decode checkpoint blob");
         assert_eq!(&back, rows, "partition {p} blob diverged");
     }
     assert_exactly_one_kill(&pool, &chaos);

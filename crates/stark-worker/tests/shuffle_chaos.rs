@@ -33,7 +33,7 @@ use stark_engine::{
     WorkerPoolConfig,
 };
 use stark_eventsim::EventGenerator;
-use stark_geo::Envelope;
+use stark_geo::{Envelope, Geometry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -222,6 +222,54 @@ fn remote_shuffle_is_byte_identical_to_the_in_process_plan_on_s14_workloads() {
     assert_eq!(stats.map_outputs_lost, 0);
     assert_eq!(stats.map_outputs_regenerated, 0);
     pool.shutdown();
+}
+
+/// `(id, x bits, y bits)` of point rows, sorted by id.
+fn point_bits(rows: &[EventRow]) -> Vec<(u64, u64, u64)> {
+    let mut bits: Vec<(u64, u64, u64)> = rows
+        .iter()
+        .map(|(o, (id, _))| match o.geo() {
+            Geometry::Point(p) => (*id, p.x().to_bits(), p.y().to_bits()),
+            other => panic!("expected a point, got {other:?}"),
+        })
+        .collect();
+    bits.sort_unstable();
+    bits
+}
+
+/// Coordinates a text codec does not keep bit for bit (`-0.0`, written
+/// `-0` and read back as `+0.0`; a NaN payload), and ±∞, cross the map
+/// tasks' inline frames, the peer fetches and the collect frames with
+/// their exact bits.
+#[test]
+fn edge_float_coordinates_keep_their_bits_through_a_remote_shuffle() {
+    let mut data = events(chaos_seed(), 200);
+    let grid = grid_for(&data);
+    let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+    let edges = [
+        (-0.0, 500.0),
+        (500.0, -0.0),
+        (f64::INFINITY, 10.0),
+        (10.0, f64::NEG_INFINITY),
+        (nan, 700.0),
+        (-0.0, nan),
+    ];
+    for (i, (x, y)) in edges.into_iter().enumerate() {
+        data.push((stark::STObject::point_at(x, y, 5), (1_000_000 + i as u64, "edge".into())));
+    }
+    let maps = map_tasks_for(&data, 4);
+    let spec = grid_spec(&grid, "sc/edge", Vec::new(), PlanSink::Collect);
+    let mut pool = shuffle_pool(2, None);
+    let remote = pool.run_shuffle(&maps, &spec).expect("remote shuffle of edge floats");
+    assert!(pool.stats().shuffle_bytes_fetched_remote > 0, "rows must cross a peer fetch");
+    pool.shutdown();
+
+    assert_results_identical(&in_process_shuffle(&maps, &grid, &spec), &remote, "edge floats");
+    let collected: Vec<EventRow> = remote
+        .iter()
+        .flat_map(|r| decode_rows::<EventRow>(r.payload.as_deref().unwrap()).unwrap())
+        .collect();
+    assert_eq!(point_bits(&collected), point_bits(&data));
 }
 
 #[test]
