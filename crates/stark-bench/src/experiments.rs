@@ -830,8 +830,6 @@ pub fn stragglers(parallelism: usize, n: usize, seed: u64) -> Table {
             parallelism,
             fault_injector: injector.clone(),
             speculation: c.speculation,
-            speculation_quantile: 0.5,
-            speculation_multiplier: 1.5,
             job_deadline: c.deadline,
             ..EngineConfig::default()
         });

@@ -2,7 +2,7 @@
 
 use stark::{STObject, SpatialRdd, SpatialRddExt};
 use stark_engine::{Context, Rdd};
-use stark_eventsim::{world_bounds, EventGenerator};
+use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
 
 /// The value payload carried alongside each STObject in the benchmarks
@@ -86,11 +86,6 @@ pub fn query_polygon(fraction: f64) -> STObject {
 /// Wraps a pair dataset for STARK operations.
 pub fn spatial(rdd: &Rdd<(STObject, Payload)>) -> SpatialRdd<Payload> {
     rdd.spatial()
-}
-
-/// World-space bounds helper re-export for balance experiments.
-pub fn world_space() -> Envelope {
-    world_bounds()
 }
 
 #[cfg(test)]

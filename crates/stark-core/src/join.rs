@@ -11,7 +11,7 @@
 //! partitions: when both partitions' cached columnar sidecars are plain
 //! points and the predicate is Euclidean `withinDistance`, an ε-grid
 //! kernel over the centroid columns
-//! ([`euclidean_grid_join`](stark_geo::kernels::euclidean_grid_join));
+//! ([`stark_geo::kernels::euclidean_grid_join`]);
 //! otherwise an STR-tree over the right side. Both accept exactly the
 //! same pairs. The matcher feeds two consumers: computing the joined
 //! dataset clones the matched rows, while `count()` only sums matches

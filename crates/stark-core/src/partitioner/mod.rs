@@ -70,8 +70,8 @@ pub trait SpatialPartitioner: Send + Sync {
         Ok(self.partition_for_centroid(c))
     }
 
-    /// Fallible record assignment; see [`try_partition_for_centroid`]
-    /// (SpatialPartitioner::try_partition_for_centroid).
+    /// Fallible record assignment; see
+    /// [`try_partition_for_centroid`](SpatialPartitioner::try_partition_for_centroid).
     fn try_partition_of(&self, obj: &STObject) -> Result<usize, crate::error::StarkError> {
         self.try_partition_for_centroid(&obj.centroid())
     }

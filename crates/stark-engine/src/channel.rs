@@ -24,8 +24,6 @@ pub enum SendError<T> {
 pub enum RecvError {
     /// Every sender is gone and the queue is drained.
     Disconnected,
-    /// No value arrived within the timeout.
-    TimedOut,
 }
 
 struct Shared<T> {
@@ -181,16 +179,6 @@ impl<T> Sender<T> {
 impl<T> Receiver<T> {
     /// Blocks until a value arrives or all senders disconnect.
     pub fn recv(&self) -> Result<T, RecvError> {
-        self.recv_inner(None)
-    }
-
-    /// Like [`Receiver::recv`], giving up after `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
-        self.recv_inner(Some(timeout))
-    }
-
-    fn recv_inner(&self, timeout: Option<Duration>) -> Result<T, RecvError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
         let mut state = self.shared.queue.lock().expect("channel poisoned");
         loop {
             if let Some(value) = state.items.pop_front() {
@@ -200,24 +188,7 @@ impl<T> Receiver<T> {
             if state.senders == 0 {
                 return Err(RecvError::Disconnected);
             }
-            state = match deadline {
-                None => self.shared.not_empty.wait(state).expect("channel poisoned"),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(RecvError::TimedOut);
-                    }
-                    let (guard, result) = self
-                        .shared
-                        .not_empty
-                        .wait_timeout(state, deadline - now)
-                        .expect("channel poisoned");
-                    if result.timed_out() && guard.items.is_empty() && guard.senders > 0 {
-                        return Err(RecvError::TimedOut);
-                    }
-                    guard
-                }
-            };
+            state = self.shared.not_empty.wait(state).expect("channel poisoned");
         }
     }
 
@@ -280,12 +251,6 @@ mod tests {
             Err(SendError::Full(2)) => {}
             other => panic!("expected Full, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn recv_timeout_on_empty() {
-        let (_tx, rx) = bounded::<u32>(1);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvError::TimedOut));
     }
 
     #[test]

@@ -11,24 +11,20 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Engine configuration.
+/// Engine configuration: the values callers choose. The speculation
+/// thresholds are fixed (see [`EngineConfig::speculation`]) and a failed
+/// task is retried at once, with no backoff.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Maximum number of worker threads per job (the "cluster size").
     pub parallelism: usize,
     /// Default number of partitions for new datasets.
     pub default_partitions: usize,
-    /// Human-readable application name, surfaced in panics and logs.
-    pub app_name: String,
     /// Retries a failed partition task gets before its error becomes
     /// permanent — Spark's `spark.task.maxFailures - 1`. Each retry
     /// recomputes the partition from lineage (evicting any poisoned
     /// cache entry first); `0` restores fail-fast behaviour.
     pub max_task_retries: u32,
-    /// Base delay between task retry attempts, doubled per attempt
-    /// (exponential backoff). Zero (the default) retries immediately —
-    /// in-process recomputation has no cluster to wait out.
-    pub retry_backoff: Duration,
     /// Chaos-testing hook: a seeded [`FaultPlan`] the executor consults
     /// at the start of every task attempt. Only task faults are allowed
     /// here. `None` (the default) injects nothing.
@@ -41,19 +37,12 @@ pub struct EngineConfig {
     /// Per-action variants ([`Rdd::collect_with_deadline`](crate::Rdd))
     /// override this by installing a tighter ambient deadline.
     pub job_deadline: Option<Duration>,
-    /// Straggler defence: once [`EngineConfig::speculation_quantile`] of
-    /// a stage's tasks have finished, any task running longer than
-    /// [`EngineConfig::speculation_multiplier`] × the stage's median
-    /// task time is relaunched as a duplicate attempt on an idle worker.
-    /// First result wins; the loser is cancelled via its token. Off by
-    /// default (Spark's `spark.speculation`).
+    /// Straggler defence: once half of a stage's tasks have finished,
+    /// any task running longer than 1.5 × the stage's median task time
+    /// is relaunched as a duplicate attempt on an idle worker. First
+    /// result wins; the loser is cancelled via its token. Off by default
+    /// (Spark's `spark.speculation`).
     pub speculation: bool,
-    /// Fraction of a stage's tasks that must finish before stragglers
-    /// are speculated (Spark's `spark.speculation.quantile`).
-    pub speculation_quantile: f64,
-    /// How many multiples of the stage's median task duration a task may
-    /// run before it is speculated (Spark's `spark.speculation.multiplier`).
-    pub speculation_multiplier: f64,
     /// Context-wide budget for accounted partition bytes (Spark's
     /// unified executor memory). When a shuffle task's buckets or a
     /// cache/checkpoint populate would exceed it, the engine degrades
@@ -77,14 +66,10 @@ impl Default for EngineConfig {
         EngineConfig {
             parallelism: cores,
             default_partitions: cores,
-            app_name: "stark".to_string(),
             max_task_retries: 3,
-            retry_backoff: Duration::ZERO,
             fault_injector: None,
             job_deadline: None,
             speculation: false,
-            speculation_quantile: 0.75,
-            speculation_multiplier: 1.5,
             memory_budget: None,
             spill_dir: None,
         }
@@ -125,11 +110,6 @@ pub struct Context {
 impl Context {
     /// Creates a context with the given configuration.
     pub fn with_config(config: EngineConfig) -> Self {
-        assert!(
-            config.speculation_quantile > 0.0 && config.speculation_quantile <= 1.0,
-            "speculation_quantile must be in (0, 1]"
-        );
-        assert!(config.speculation_multiplier >= 1.0, "speculation_multiplier must be >= 1");
         if let Some(plan) = &config.fault_injector {
             plan.assert_sites("EngineConfig::fault_injector", &[Site::Task]);
         }

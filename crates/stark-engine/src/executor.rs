@@ -23,8 +23,8 @@
 //!
 //! With [`EngineConfig::speculation`](crate::EngineConfig) on, workers
 //! that drain the main partition queue turn into speculation scouts:
-//! once the configured quantile of a stage's tasks has finished, any
-//! task running longer than `speculation_multiplier ×` the stage's
+//! once [`SPECULATION_QUANTILE`] of a stage's tasks have finished, any
+//! task running longer than [`SPECULATION_MULTIPLIER`] × the stage's
 //! median task time is relaunched as a duplicate attempt. The first
 //! attempt to finish publishes the partition's result and cancels the
 //! other via its token; the loser's outcome is discarded, so job output
@@ -268,7 +268,6 @@ fn run_task<T: Data, R>(
 ) -> Result<R, TaskError> {
     let metrics = ctx.raw_metrics();
     let budget = ctx.max_task_retries();
-    let backoff = ctx.inner.config.retry_backoff;
     let mut attempt = 0u32;
     loop {
         match run_attempt(ctx, inner, f, i, stage, attempt_offset + attempt, token) {
@@ -290,21 +289,6 @@ fn run_task<T: Data, R>(
                 metrics.inc_tasks_retried(1);
                 metrics.inc_partitions_recomputed(1);
                 inner.evict(i);
-                if !backoff.is_zero() {
-                    // Jittered exponential backoff: scale by a seeded
-                    // draw in [0.5, 1.5) keyed on (stage, partition,
-                    // attempt) so tasks that failed together (e.g. one
-                    // poisoned input feeding many partitions) don't
-                    // hammer back in lockstep.
-                    let scaled = backoff * (1u32 << attempt.min(6));
-                    let draw = crate::fault::splitmix64(
-                        stage
-                            ^ (i as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-                            ^ u64::from(attempt_offset + attempt),
-                    );
-                    let factor = 0.5 + (draw >> 11) as f64 / (1u64 << 53) as f64;
-                    std::thread::sleep(scaled.mul_f64(factor));
-                }
                 attempt += 1;
             }
         }
@@ -329,6 +313,14 @@ struct Slot<R> {
 /// How often an idle worker re-scans for stragglers once the main
 /// partition queue is drained.
 const SPECULATION_POLL: Duration = Duration::from_micros(200);
+
+/// Fraction of a stage's tasks that must finish before stragglers are
+/// speculated (Spark's `spark.speculation.quantile`).
+const SPECULATION_QUANTILE: f64 = 0.5;
+
+/// How many multiples of the stage's median task duration a task may run
+/// before it is speculated (Spark's `spark.speculation.multiplier`).
+const SPECULATION_MULTIPLIER: f64 = 1.5;
 
 /// Computes every partition of `inner`, applies `f` to each, and returns
 /// the results in partition order — or the first [`TaskError`] (lowest
@@ -360,8 +352,6 @@ pub(crate) fn try_run_partitions<T: Data, R: Send>(
     } else {
         let metrics = ctx.raw_metrics();
         let speculation = ctx.inner.config.speculation;
-        let quantile = ctx.inner.config.speculation_quantile;
-        let multiplier = ctx.inner.config.speculation_multiplier;
         let next = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
         // Durations of successful attempts, feeding the median that
@@ -425,10 +415,11 @@ pub(crate) fn try_run_partitions<T: Data, R: Send>(
 
         // Picks the next straggler to duplicate, if the stage has
         // reached its speculation quantile and someone is running past
-        // `multiplier ×` the median successful-attempt duration.
+        // `SPECULATION_MULTIPLIER ×` the median successful-attempt
+        // duration.
         let next_straggler = || -> Option<usize> {
             let done = completed.load(Ordering::Acquire);
-            let min_done = ((quantile * n as f64).ceil() as usize).clamp(1, n);
+            let min_done = ((SPECULATION_QUANTILE * n as f64).ceil() as usize).clamp(1, n);
             if done < min_done {
                 return None;
             }
@@ -439,7 +430,7 @@ pub(crate) fn try_run_partitions<T: Data, R: Send>(
                 }
                 let mut sorted = d.clone();
                 sorted.sort_unstable();
-                (sorted[sorted.len() / 2] as f64 * multiplier) as u128
+                (sorted[sorted.len() / 2] as f64 * SPECULATION_MULTIPLIER) as u128
             };
             for (i, slot) in slots.iter().enumerate() {
                 let mut s = slot.lock().expect("result slot poisoned");
@@ -814,8 +805,6 @@ mod tests {
             max_task_retries: 3,
             fault_injector: Some(injector.clone()),
             speculation: true,
-            speculation_quantile: 0.5,
-            speculation_multiplier: 1.5,
             ..EngineConfig::default()
         });
         let started = std::time::Instant::now();

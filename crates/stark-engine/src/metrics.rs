@@ -79,36 +79,6 @@ pub struct Metrics {
     /// counts once per kernel pass, mirroring `records_read` for the
     /// row path).
     pub rows_scanned_columnar: AtomicU64,
-    /// Worker processes forked by a [`WorkerPool`](crate::WorkerPool)
-    /// (initial spawns and respawns both count).
-    pub workers_spawned: AtomicU64,
-    /// Workers declared lost (crash, heartbeat silence, torn frame or a
-    /// blown task deadline).
-    pub workers_lost: AtomicU64,
-    /// Lost worker seats successfully brought back.
-    pub workers_respawned: AtomicU64,
-    /// In-flight tasks reassigned away from a lost worker.
-    pub tasks_reassigned: AtomicU64,
-    /// Plan-fragment tasks dispatched to worker processes.
-    pub remote_tasks: AtomicU64,
-    /// Row-payload bytes shipped driver → workers.
-    pub remote_bytes_tx: AtomicU64,
-    /// Row-payload bytes received workers → driver.
-    pub remote_bytes_rx: AtomicU64,
-    /// Remote-shuffle fetch attempts re-tried after a transient failure
-    /// (refused connection, torn transfer, checksum mismatch, timeout).
-    pub fetch_retries: AtomicU64,
-    /// Remote-shuffle fetches that exhausted their retry budget or were
-    /// rejected as stale — each triggers lost-output recovery.
-    pub fetch_failures: AtomicU64,
-    /// Registered map outputs invalidated because their producing worker
-    /// died (or their registry entry went stale).
-    pub map_outputs_lost: AtomicU64,
-    /// Map outputs re-produced via lineage at a bumped shuffle epoch.
-    /// Recovery is exact when this equals `map_outputs_lost`.
-    pub map_outputs_regenerated: AtomicU64,
-    /// Bucket payload bytes reducers fetched over peer shuffle ports.
-    pub shuffle_bytes_fetched_remote: AtomicU64,
 }
 
 impl Metrics {
@@ -182,42 +152,6 @@ impl Metrics {
     pub fn inc_rows_scanned_columnar(&self, n: u64) {
         self.rows_scanned_columnar.fetch_add(n, Ordering::Relaxed);
     }
-    pub fn inc_workers_spawned(&self) {
-        self.workers_spawned.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_workers_lost(&self) {
-        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_workers_respawned(&self) {
-        self.workers_respawned.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_tasks_reassigned(&self) {
-        self.tasks_reassigned.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_remote_tasks(&self) {
-        self.remote_tasks.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn add_remote_bytes_tx(&self, n: u64) {
-        self.remote_bytes_tx.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn add_remote_bytes_rx(&self, n: u64) {
-        self.remote_bytes_rx.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn inc_fetch_retries(&self, n: u64) {
-        self.fetch_retries.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn inc_fetch_failures(&self, n: u64) {
-        self.fetch_failures.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn inc_map_outputs_lost(&self, n: u64) {
-        self.map_outputs_lost.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn inc_map_outputs_regenerated(&self, n: u64) {
-        self.map_outputs_regenerated.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn add_shuffle_bytes_fetched_remote(&self, n: u64) {
-        self.shuffle_bytes_fetched_remote.fetch_add(n, Ordering::Relaxed);
-    }
 
     /// A point-in-time copy of all counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -247,18 +181,6 @@ impl Metrics {
                 .load(Ordering::Relaxed),
             columnar_batches_built: self.columnar_batches_built.load(Ordering::Relaxed),
             rows_scanned_columnar: self.rows_scanned_columnar.load(Ordering::Relaxed),
-            workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-            workers_lost: self.workers_lost.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            tasks_reassigned: self.tasks_reassigned.load(Ordering::Relaxed),
-            remote_tasks: self.remote_tasks.load(Ordering::Relaxed),
-            remote_bytes_tx: self.remote_bytes_tx.load(Ordering::Relaxed),
-            remote_bytes_rx: self.remote_bytes_rx.load(Ordering::Relaxed),
-            fetch_retries: self.fetch_retries.load(Ordering::Relaxed),
-            fetch_failures: self.fetch_failures.load(Ordering::Relaxed),
-            map_outputs_lost: self.map_outputs_lost.load(Ordering::Relaxed),
-            map_outputs_regenerated: self.map_outputs_regenerated.load(Ordering::Relaxed),
-            shuffle_bytes_fetched_remote: self.shuffle_bytes_fetched_remote.load(Ordering::Relaxed),
         }
     }
 }
@@ -309,32 +231,6 @@ pub struct MetricsSnapshot {
     pub columnar_batches_built: u64,
     /// Rows scanned by columnar kernels (see [`Metrics::rows_scanned_columnar`]).
     pub rows_scanned_columnar: u64,
-    /// Worker processes forked (see [`Metrics::workers_spawned`]).
-    pub workers_spawned: u64,
-    /// Workers declared lost (see [`Metrics::workers_lost`]).
-    pub workers_lost: u64,
-    /// Seats brought back after a loss (see [`Metrics::workers_respawned`]).
-    pub workers_respawned: u64,
-    /// Tasks reassigned off lost workers (see [`Metrics::tasks_reassigned`]).
-    pub tasks_reassigned: u64,
-    /// Plan fragments dispatched remotely (see [`Metrics::remote_tasks`]).
-    pub remote_tasks: u64,
-    /// Payload bytes sent to workers (see [`Metrics::remote_bytes_tx`]).
-    pub remote_bytes_tx: u64,
-    /// Payload bytes received from workers (see [`Metrics::remote_bytes_rx`]).
-    pub remote_bytes_rx: u64,
-    /// Remote-shuffle fetch re-attempts (see [`Metrics::fetch_retries`]).
-    pub fetch_retries: u64,
-    /// Fetches escalated past their budget (see [`Metrics::fetch_failures`]).
-    pub fetch_failures: u64,
-    /// Map outputs invalidated after a loss (see [`Metrics::map_outputs_lost`]).
-    pub map_outputs_lost: u64,
-    /// Map outputs regenerated via lineage (see
-    /// [`Metrics::map_outputs_regenerated`]).
-    pub map_outputs_regenerated: u64,
-    /// Bucket bytes fetched from peers (see
-    /// [`Metrics::shuffle_bytes_fetched_remote`]).
-    pub shuffle_bytes_fetched_remote: u64,
 }
 
 impl MetricsSnapshot {
@@ -368,19 +264,6 @@ impl MetricsSnapshot {
                 - earlier.partitions_evicted_for_pressure,
             columnar_batches_built: self.columnar_batches_built - earlier.columnar_batches_built,
             rows_scanned_columnar: self.rows_scanned_columnar - earlier.rows_scanned_columnar,
-            workers_spawned: self.workers_spawned - earlier.workers_spawned,
-            workers_lost: self.workers_lost - earlier.workers_lost,
-            workers_respawned: self.workers_respawned - earlier.workers_respawned,
-            tasks_reassigned: self.tasks_reassigned - earlier.tasks_reassigned,
-            remote_tasks: self.remote_tasks - earlier.remote_tasks,
-            remote_bytes_tx: self.remote_bytes_tx - earlier.remote_bytes_tx,
-            remote_bytes_rx: self.remote_bytes_rx - earlier.remote_bytes_rx,
-            fetch_retries: self.fetch_retries - earlier.fetch_retries,
-            fetch_failures: self.fetch_failures - earlier.fetch_failures,
-            map_outputs_lost: self.map_outputs_lost - earlier.map_outputs_lost,
-            map_outputs_regenerated: self.map_outputs_regenerated - earlier.map_outputs_regenerated,
-            shuffle_bytes_fetched_remote: self.shuffle_bytes_fetched_remote
-                - earlier.shuffle_bytes_fetched_remote,
         }
     }
 }

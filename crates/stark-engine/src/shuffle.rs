@@ -33,7 +33,7 @@
 //! Every bucket carries a **shuffle epoch**. Map outputs regenerated
 //! after a worker loss register at a bumped epoch, and the server rejects
 //! requests whose epoch does not match its registration
-//! ([`FetchRsp::StaleEpoch`]) — a reducer built against a superseded
+//! (a `StaleEpoch` answer) — a reducer built against a superseded
 //! registry snapshot fails fast instead of consuming half-dead data.
 //!
 //! Failure handling is layered: connect/read timeouts bound every
@@ -166,8 +166,9 @@ pub struct ShuffleEnv {
     buckets: Mutex<HashMap<String, Bucket>>,
     /// One idle connection per peer address, reused by the next fetch.
     conns: Mutex<HashMap<String, Conn>>,
-    /// Accept threads started by [`Self::serve`], with their ports.
-    acceptors: Mutex<Vec<(u16, JoinHandle<()>)>>,
+    /// Accept threads started by [`Self::serve`], with their ports. A
+    /// thread is `None` once a test has taken its handle.
+    acceptors: Mutex<Vec<(u16, Option<JoinHandle<()>>)>>,
     cfg: FetchConfig,
     /// Fault plan whose fetch rules strike this server's answers.
     faults: Option<Arc<FaultPlan>>,
@@ -276,8 +277,16 @@ impl ShuffleEnv {
                         });
                 }
             })?;
-        self.acceptors.lock().unwrap().push((port, acceptor));
+        self.acceptors.lock().unwrap().push((port, Some(acceptor)));
         Ok(port)
+    }
+
+    /// Takes the handles of this env's accept threads, so a test can
+    /// watch *these* threads end after the drop. `Drop` still wakes
+    /// each one through its port.
+    #[cfg(test)]
+    fn take_accept_threads(&self) -> Vec<JoinHandle<()>> {
+        self.acceptors.lock().unwrap().iter_mut().filter_map(|(_, t)| t.take()).collect()
     }
 
     /// Answers one fetch request. `Ok(false)` means hang up (an injected
@@ -466,7 +475,9 @@ impl Drop for ShuffleEnv {
         for (port, acceptor) in acceptors.drain(..) {
             let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
             if TcpStream::connect_timeout(&addr, self.cfg.connect_timeout).is_ok() {
-                let _ = acceptor.join();
+                if let Some(acceptor) = acceptor {
+                    let _ = acceptor.join();
+                }
             }
         }
     }
@@ -660,31 +671,31 @@ mod tests {
 
     #[test]
     fn dropping_the_env_closes_its_port_and_ends_its_accept_thread() {
+        // Other tests bind ports concurrently and may take this one once
+        // it is freed, so the test watches this env's own accept thread
+        // (not a thread name or the port) and a key no other test serves.
+        let key = "sh/dropped-env/task-00000/bucket-00000";
         let server = env_with(None);
-        server.put_bucket("sh/task-00000/bucket-00000", 0, b"rows").unwrap();
+        server.put_bucket(key, 0, b"rows").unwrap();
         let port = server.serve().unwrap();
         // an idle pooled peer connection must not keep the env alive
         let client = env_with(None);
-        client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).unwrap();
-        let accept_thread_alive = || {
-            std::fs::read_dir("/proc/self/task").into_iter().flatten().flatten().any(|t| {
-                std::fs::read_to_string(t.path().join("comm"))
-                    .is_ok_and(|comm| comm.trim() == format!("shuffle-{port}"))
-            })
-        };
-        if std::path::Path::new("/proc/self/task").is_dir() {
-            assert!(accept_thread_alive(), "serve names its accept thread");
-        }
+        client.fetch(&addr(port), key, 0).unwrap();
+        let accept_threads = server.take_accept_threads();
+        assert_eq!(accept_threads.len(), 1);
+        let name = format!("shuffle-{port}");
+        assert_eq!(accept_threads[0].thread().name(), Some(name.as_str()), "serve names it");
+        assert!(!accept_threads[0].is_finished(), "the accept thread runs while the env lives");
         drop(server);
 
+        // the accept thread owns the listener: once it has returned, the
+        // port is closed
         let deadline = Instant::now() + Duration::from_secs(1);
-        let target = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
-        while TcpStream::connect_timeout(&target, Duration::from_millis(100)).is_ok() {
-            assert!(Instant::now() < deadline, "port {port} still accepts after the drop");
+        while !accept_threads[0].is_finished() {
+            assert!(Instant::now() < deadline, "the accept thread outlived its env");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(!accept_thread_alive(), "the accept thread outlived its env");
-        assert!(client.fetch(&addr(port), "sh/task-00000/bucket-00000", 0).is_err());
+        assert!(client.fetch(&addr(port), key, 0).is_err(), "a dropped env served a fetch");
     }
 
     #[test]

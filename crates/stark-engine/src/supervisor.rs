@@ -33,7 +33,6 @@
 //! strike that worker's shuffle server.
 
 use crate::fault::{splitmix64, Fault, FaultPlan, Site};
-use crate::metrics::Metrics;
 use crate::plan::{
     shuffle_bucket_key, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput, TaskResult,
 };
@@ -56,7 +55,30 @@ use std::time::{Duration, Instant};
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Configuration of a [`WorkerPool`].
+/// Heartbeat cadence of every worker ([`crate::worker::WorkerRuntime`]
+/// uses it too, so the pool passes no flag for it).
+pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+/// A worker whose last inbound frame is older than this is declared lost
+/// even if its socket is still open.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a freshly forked worker may take to dial back and say Hello.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(10);
+/// Respawn budget per seat.
+const MAX_RESPAWNS: u32 = 3;
+/// Reassignment/retry budget per task.
+const MAX_TASK_RETRIES: u32 = 3;
+/// How many lost-output regeneration rounds one remote shuffle may run
+/// before giving up (a fetch failure that survives this many
+/// re-productions is not transient).
+const MAX_SHUFFLE_REGENS: u32 = 4;
+/// Seed of the respawn-backoff jitter.
+const RESPAWN_JITTER_SEED: u64 = 0xC4A05;
+
+/// Configuration of a [`WorkerPool`]: the values callers choose. The
+/// rest is fixed: workers heartbeat every 25 ms, a worker silent for 2 s
+/// or not dialed back within 10 s of its fork is lost, each seat
+/// respawns at most 3 times, each task is retried at most 3 times, and a
+/// remote shuffle regenerates lost map outputs in at most 4 rounds.
 #[derive(Debug, Clone)]
 pub struct WorkerPoolConfig {
     /// Number of worker seats.
@@ -68,25 +90,13 @@ pub struct WorkerPoolConfig {
     /// itself (`std::env::current_exe()`). A path that cannot be forked
     /// or that exits before its handshake is a [`PoolError::Spawn`].
     pub program: PathBuf,
-    /// Heartbeat cadence pushed by workers (passed on their command
-    /// line).
-    pub heartbeat_interval: Duration,
-    /// A worker whose last inbound frame is older than this is declared
-    /// lost even if its socket is still open.
-    pub heartbeat_timeout: Duration,
     /// A dispatched task not answered within this window marks its
     /// worker lost (catches dropped task frames and wedged workers that
     /// still heartbeat).
     pub task_timeout: Duration,
-    /// How long a freshly forked worker may take to dial back.
-    pub spawn_timeout: Duration,
     /// Base respawn backoff; doubled per consecutive failure of the
     /// seat and jittered into `[0.5, 1.5)` of the scaled value.
     pub respawn_backoff: Duration,
-    /// Respawn budget per seat.
-    pub max_respawns: u32,
-    /// Reassignment/retry budget per task.
-    pub max_task_retries: u32,
     /// Shared object store for checkpoints; `None` creates a fresh
     /// temp-dir store.
     pub store_root: Option<PathBuf>,
@@ -95,14 +105,6 @@ pub struct WorkerPoolConfig {
     /// server (each worker process counts its own strikes). Task rules
     /// are rejected — the pool never consults them.
     pub faults: Option<Arc<FaultPlan>>,
-    /// How many lost-output regeneration rounds one remote shuffle may
-    /// run before giving up (a fetch failure that survives this many
-    /// re-productions is not transient).
-    pub max_shuffle_regens: u32,
-    /// Engine metrics to mirror pool counters into.
-    pub metrics: Option<Arc<Metrics>>,
-    /// Seed for the respawn-backoff jitter.
-    pub seed: u64,
 }
 
 impl WorkerPoolConfig {
@@ -110,18 +112,10 @@ impl WorkerPoolConfig {
         WorkerPoolConfig {
             workers: 4,
             program: program.into(),
-            heartbeat_interval: Duration::from_millis(25),
-            heartbeat_timeout: Duration::from_secs(2),
             task_timeout: Duration::from_secs(30),
-            spawn_timeout: Duration::from_secs(10),
             respawn_backoff: Duration::from_millis(50),
-            max_respawns: 3,
-            max_task_retries: 3,
             store_root: None,
             faults: None,
-            max_shuffle_regens: 4,
-            metrics: None,
-            seed: 0xC4A05,
         }
     }
 }
@@ -167,9 +161,8 @@ pub enum PoolError {
     ProducerLost {
         seat: usize,
     },
-    /// A remote shuffle regenerated lost map outputs
-    /// [`WorkerPoolConfig::max_shuffle_regens`] times and fetches still
-    /// failed — the failure is not transient.
+    /// A remote shuffle regenerated lost map outputs in four rounds and
+    /// fetches still failed — the failure is not transient.
     ShuffleRegensExhausted {
         prefix: String,
         rounds: u32,
@@ -413,7 +406,7 @@ impl WorkerPool {
             .map_err(|e| PoolError::Spawn { seat: 0, message: format!("open store: {e}") })?;
         let (events_tx, events_rx) = std::sync::mpsc::channel();
         let mut pool = WorkerPool {
-            rng: splitmix64(cfg.seed ^ 0x57A2_4B00),
+            rng: splitmix64(RESPAWN_JITTER_SEED ^ 0x57A2_4B00),
             cfg,
             listener,
             addr,
@@ -435,7 +428,7 @@ impl WorkerPool {
                 last_seen: Arc::new(Mutex::new(Instant::now())),
                 state: SlotState::Down,
                 consecutive_failures: 0,
-                respawns_left: pool.cfg.max_respawns,
+                respawns_left: MAX_RESPAWNS,
                 next_respawn: None,
                 shuffle_port: 0,
             });
@@ -464,12 +457,6 @@ impl WorkerPool {
         self.slots.iter().filter(|s| s.is_live()).count()
     }
 
-    fn metric(&self, f: impl Fn(&Metrics)) {
-        if let Some(m) = &self.cfg.metrics {
-            f(m);
-        }
-    }
-
     /// Forks one worker for `seat` and completes the Hello handshake.
     fn spawn_worker(&mut self, seat: usize) -> Result<(), PoolError> {
         let spawn_err = |message: String| PoolError::Spawn { seat, message };
@@ -478,8 +465,6 @@ impl WorkerPool {
             .arg(&self.addr)
             .arg("--id")
             .arg(seat.to_string())
-            .arg("--heartbeat-ms")
-            .arg(self.cfg.heartbeat_interval.as_millis().max(1).to_string())
             .arg("--store")
             .arg(self.store.root())
             .stdin(Stdio::null())
@@ -499,7 +484,7 @@ impl WorkerPool {
 
         // The listener is non-blocking; poll for the dial-back while
         // watching for an early child death.
-        let deadline = Instant::now() + self.cfg.spawn_timeout;
+        let deadline = Instant::now() + SPAWN_TIMEOUT;
         let stream = loop {
             match self.listener.accept() {
                 Ok((stream, _)) => break stream,
@@ -522,7 +507,7 @@ impl WorkerPool {
         stream.set_nodelay(true).ok();
 
         // Hello must arrive promptly.
-        stream.set_read_timeout(Some(self.cfg.spawn_timeout)).ok();
+        stream.set_read_timeout(Some(SPAWN_TIMEOUT)).ok();
         let mut hello_reader = BufReader::new(stream.try_clone()?);
         let shuffle_port = match recv_msg::<WorkerMsg>(&mut hello_reader) {
             Ok(Some(WorkerMsg::Hello { worker_id, shuffle_port, .. })) if worker_id == seat => {
@@ -540,9 +525,9 @@ impl WorkerPool {
         // Reads stay bounded for the connection's whole life: a peer
         // that wedges mid-frame trips this timeout and is reported Gone,
         // instead of parking the reader thread forever. Heartbeats
-        // arrive every `heartbeat_interval`, so a healthy worker never
+        // arrive every `HEARTBEAT_INTERVAL`, so a healthy worker never
         // comes near the bound.
-        stream.set_read_timeout(Some(self.cfg.heartbeat_timeout * 2)).ok();
+        stream.set_read_timeout(Some(HEARTBEAT_TIMEOUT * 2)).ok();
 
         let slot = &mut self.slots[seat];
         slot.shuffle_port = shuffle_port;
@@ -553,7 +538,6 @@ impl WorkerPool {
         *slot.last_seen.lock().unwrap() = Instant::now();
         slot.next_respawn = None;
         self.stats.workers_spawned += 1;
-        self.metric(|m| m.inc_workers_spawned());
 
         // Reader thread: forwards messages and reports connection loss.
         let gen = self.slots[seat].gen;
@@ -619,8 +603,7 @@ impl WorkerPool {
     /// [`TaskResult`] per partition, in partition order.
     ///
     /// Map outputs lost to a worker death (or served corrupt) are
-    /// re-produced via lineage at a bumped epoch, up to
-    /// [`WorkerPoolConfig::max_shuffle_regens`] rounds.
+    /// re-produced via lineage at a bumped epoch, in up to four rounds.
     ///
     /// However it returns, the stage's buckets are then released on
     /// every live worker (see [`DriverMsg::ReleaseShuffle`]).
@@ -686,7 +669,7 @@ impl WorkerPool {
                 }
                 Err(e @ (PoolError::FetchFailed { .. } | PoolError::ProducerLost { .. })) => {
                     rounds += 1;
-                    if rounds > self.cfg.max_shuffle_regens {
+                    if rounds > MAX_SHUFFLE_REGENS {
                         return Err(PoolError::ShuffleRegensExhausted {
                             prefix: spec.prefix.clone(),
                             rounds,
@@ -797,10 +780,6 @@ impl WorkerPool {
         }
         self.stats.map_outputs_lost += lost;
         self.stats.map_outputs_regenerated += regenerated;
-        self.metric(|m| {
-            m.inc_map_outputs_lost(lost);
-            m.inc_map_outputs_regenerated(regenerated);
-        });
         Ok(())
     }
 
@@ -814,7 +793,6 @@ impl WorkerPool {
         let lost = (before - reg.entries.len()) as u64;
         if lost > 0 {
             self.stats.map_outputs_lost += lost;
-            self.metric(|m| m.inc_map_outputs_lost(lost));
         }
         lost
     }
@@ -888,10 +866,6 @@ impl WorkerPool {
                         // the answer is discarded, but its fetches happened
                         self.stats.fetch_retries += retries;
                         self.stats.fetch_failures += failures;
-                        self.metric(|m| {
-                            m.inc_fetch_retries(retries);
-                            m.inc_fetch_failures(failures);
-                        });
                     }
                 }
                 Ok(Event::Gone { seat, gen, reason }) => {
@@ -946,7 +920,6 @@ impl WorkerPool {
                 match self.spawn_worker(seat) {
                     Ok(()) => {
                         self.stats.workers_respawned += 1;
-                        self.metric(|m| m.inc_workers_respawned());
                     }
                     Err(_) if self.slots[seat].respawns_left > 0 => {
                         // schedule another attempt, backoff grown
@@ -1004,7 +977,6 @@ impl WorkerPool {
         let deadline = Instant::now() + self.cfg.task_timeout;
         self.slots[seat].state = SlotState::Busy { task, attempt, deadline };
         self.stats.tasks_dispatched += 1;
-        self.metric(|m| m.inc_remote_tasks());
 
         let msg = DriverMsg::Task {
             id: task as u64,
@@ -1050,7 +1022,6 @@ impl WorkerPool {
         send_result.map_err(|e| format!("dispatch: {e}"))?;
         let _ = writer.flush();
         self.stats.bytes_tx += payload_len;
-        self.metric(|m| m.add_remote_bytes_tx(payload_len));
         Ok(())
     }
 
@@ -1081,16 +1052,11 @@ impl WorkerPool {
                         self.slots[seat].consecutive_failures = 0;
                         self.stats.fetch_retries += fetch_retries;
                         self.stats.shuffle_bytes_fetched_remote += fetch_bytes;
-                        self.metric(|m| {
-                            m.inc_fetch_retries(fetch_retries);
-                            m.add_shuffle_bytes_fetched_remote(fetch_bytes);
-                        });
                         if results[task].is_some() {
                             return Ok(()); // duplicate of an already-recovered task
                         }
                         let bytes = rows.as_ref().map(|r| r.len() as u64).unwrap_or(0);
                         self.stats.bytes_rx += bytes;
-                        self.metric(|m| m.add_remote_bytes_rx(bytes));
                         results[task] = Some((TaskResult { output, payload: rows }, seat, gen));
                         *done += 1;
                         self.stats.tasks_completed += 1;
@@ -1105,18 +1071,16 @@ impl WorkerPool {
                         let Some((task, attempt)) = busy else { return Ok(()) };
                         self.slots[seat].state = SlotState::Idle;
                         self.stats.fetch_retries += fetch_retries;
-                        self.metric(|m| m.inc_fetch_retries(fetch_retries));
                         if let Some(failure) = fetch {
                             // escalate to the lost-output recovery loop
                             // instead of burning generic task retries
                             self.stats.fetch_failures += 1;
-                            self.metric(|m| m.inc_fetch_failures(1));
                             return Err(PoolError::FetchFailed { task, failure });
                         }
                         if !retryable {
                             return Err(PoolError::TaskFailed { task, message });
                         }
-                        if attempt + 1 > self.cfg.max_task_retries {
+                        if attempt + 1 > MAX_TASK_RETRIES {
                             return Err(PoolError::RetriesExhausted {
                                 task,
                                 attempts: attempt + 1,
@@ -1150,7 +1114,7 @@ impl WorkerPool {
                     return Err(PoolError::ProducerLost { seat });
                 }
                 if let Some((_, attempt)) = pending.back() {
-                    if *attempt > self.cfg.max_task_retries {
+                    if *attempt > MAX_TASK_RETRIES {
                         let (task, attempt) = pending.pop_back().expect("just observed");
                         return Err(PoolError::RetriesExhausted {
                             task,
@@ -1188,7 +1152,6 @@ impl WorkerPool {
                 // inline (the driver still holds it) or fetched from
                 // peers, so any survivor can recompute it
                 self.stats.tasks_reassigned += 1;
-                self.metric(|m| m.inc_tasks_reassigned());
                 pending.push_back((task, attempt + 1));
             }
         }
@@ -1198,7 +1161,6 @@ impl WorkerPool {
         slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
         let respawnable = slot.respawns_left > 0;
         self.stats.workers_lost += 1;
-        self.metric(|m| m.inc_workers_lost());
         if respawnable {
             let wait = self.jittered_backoff(exp);
             self.slots[seat].next_respawn = Some(Instant::now() + wait);
@@ -1211,8 +1173,7 @@ impl WorkerPool {
             if !self.slots[seat].is_live() {
                 continue;
             }
-            let silent =
-                self.slots[seat].last_seen.lock().unwrap().elapsed() > self.cfg.heartbeat_timeout;
+            let silent = self.slots[seat].last_seen.lock().unwrap().elapsed() > HEARTBEAT_TIMEOUT;
             let overdue = matches!(
                 self.slots[seat].state,
                 SlotState::Busy { deadline, .. } if now >= deadline
@@ -1225,7 +1186,7 @@ impl WorkerPool {
                     false,
                 );
                 if let Some((task, attempt)) = pending.back().copied() {
-                    if attempt > self.cfg.max_task_retries {
+                    if attempt > MAX_TASK_RETRIES {
                         pending.pop_back();
                         return Err(PoolError::RetriesExhausted {
                             task,
@@ -1462,7 +1423,6 @@ mod tests {
     fn spawn_fails_with(program: &str) -> String {
         let mut cfg = WorkerPoolConfig::new(program);
         cfg.workers = 2;
-        cfg.spawn_timeout = Duration::from_secs(5);
         let started = Instant::now();
         let err = match WorkerPool::spawn(cfg) {
             Ok(_) => panic!("{program} must not pass for a worker"),

@@ -10,8 +10,9 @@
 //!
 //! Concurrency inside a worker is two threads: the main loop reads task
 //! frames and executes them; a heartbeat thread pushes
-//! [`WorkerMsg::Heartbeat`] on a fixed cadence (also while a task is
-//! executing, so a long task is distinguishable from a dead process).
+//! [`WorkerMsg::Heartbeat`] every 25 ms, the pool's fixed cadence (also
+//! while a task is executing, so a long task is distinguishable from a
+//! dead process).
 //! Both share the write half of the socket behind a mutex, and every
 //! control-plus-payload pair is sent under one lock so frames never
 //! interleave.
@@ -20,6 +21,7 @@ use crate::fault::FaultPlan;
 use crate::plan::{ExecEnv, PlanError, PlanFragment, SchemaExecutor, TaskResult};
 use crate::shuffle::{FetchConfig, ShuffleEnv};
 use crate::storage::ObjectStore;
+use crate::supervisor::HEARTBEAT_INTERVAL;
 use crate::transport::{recv_msg, recv_payload, send_msg, write_frame, DriverMsg, WorkerMsg};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -71,13 +73,12 @@ impl WorkerRuntime {
         exec.execute_env(fragment, payload, env)
     }
 
-    /// Connects to the driver at `addr` (bounded by [`CONNECT_TIMEOUT`])
-    /// and serves until drained or the connection fails.
+    /// Connects to the driver at `addr` (the connect is bounded by a
+    /// 10 s timeout) and serves until drained or the connection fails.
     pub fn run(
         &self,
         addr: &str,
         worker_id: usize,
-        heartbeat: Duration,
         store_root: Option<&Path>,
         faults: Option<Arc<FaultPlan>>,
     ) -> io::Result<()> {
@@ -88,7 +89,7 @@ impl WorkerRuntime {
             )
         })?;
         let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
-        self.serve(stream, worker_id, heartbeat, store_root, faults)
+        self.serve(stream, worker_id, store_root, faults)
     }
 
     /// Serves the worker protocol over an established connection. Used
@@ -98,7 +99,6 @@ impl WorkerRuntime {
         &self,
         stream: TcpStream,
         worker_id: usize,
-        heartbeat: Duration,
         store_root: Option<&Path>,
         faults: Option<Arc<FaultPlan>>,
     ) -> io::Result<()> {
@@ -141,7 +141,7 @@ impl WorkerRuntime {
             let busy = busy.clone();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(heartbeat);
+                    std::thread::sleep(HEARTBEAT_INTERVAL);
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
@@ -260,7 +260,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// Command-line surface shared by the worker binaries:
 ///
 /// ```text
-/// <bin> --addr 127.0.0.1:PORT --id N [--heartbeat-ms 50] [--store DIR] [--faults JSON]
+/// <bin> --addr 127.0.0.1:PORT --id N [--store DIR] [--faults JSON]
 /// ```
 ///
 /// `--faults` carries the pool's fetch fault rules; a value that does
@@ -271,7 +271,6 @@ pub fn run_from_args(
 ) -> io::Result<()> {
     let mut addr: Option<String> = None;
     let mut id: Option<usize> = None;
-    let mut heartbeat_ms: u64 = 50;
     let mut store: Option<PathBuf> = None;
     let mut faults = None;
 
@@ -282,9 +281,6 @@ pub fn run_from_args(
         match flag.as_str() {
             "--addr" => addr = Some(value()?),
             "--id" => id = Some(value()?.parse().map_err(|e| bad(format!("--id: {e}")))?),
-            "--heartbeat-ms" => {
-                heartbeat_ms = value()?.parse().map_err(|e| bad(format!("--heartbeat-ms: {e}")))?
-            }
             "--store" => store = Some(PathBuf::from(value()?)),
             "--faults" => {
                 let plan = FaultPlan::from_fetch_arg(&value()?)
@@ -296,8 +292,7 @@ pub fn run_from_args(
     }
     let addr = addr.ok_or_else(|| bad("missing --addr".into()))?;
     let id = id.ok_or_else(|| bad("missing --id".into()))?;
-    let heartbeat = Duration::from_millis(heartbeat_ms.max(1));
-    runtime.run(&addr, id, heartbeat, store.as_deref(), faults)
+    runtime.run(&addr, id, store.as_deref(), faults)
 }
 
 #[cfg(test)]
@@ -322,7 +317,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let rt = int_runtime();
             let stream = TcpStream::connect(addr).unwrap();
-            rt.serve(stream, 0, Duration::from_millis(10), None, None)
+            rt.serve(stream, 0, None, None)
         });
         let (driver_side, _) = listener.accept().unwrap();
         (driver_side, handle)
@@ -392,7 +387,7 @@ mod tests {
         let mut r = BufReader::new(stream);
         expect_hello(&mut r);
 
-        // at a 10ms cadence a heartbeat must arrive well inside a second
+        // at the 25ms cadence a heartbeat must arrive well inside a second
         let mut saw_heartbeat = false;
         send_msg(&mut w, &DriverMsg::Ping { seq: 42 }).unwrap();
         loop {
@@ -537,5 +532,11 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
             assert!(err.to_string().contains("--faults"), "{err}");
         }
+        // the heartbeat cadence is a constant, not a flag
+        let args = ["--addr", "127.0.0.1:1", "--id", "0", "--heartbeat-ms", "25"];
+        let err = run_from_args(&int_runtime(), args.into_iter().map(String::from))
+            .expect_err("--heartbeat-ms must not start a worker");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("unknown flag \"--heartbeat-ms\""), "{err}");
     }
 }

@@ -1,8 +1,10 @@
 //! Generates a synthetic event CSV in the paper's
 //! `(id, category, time, wkt)` schema.
 //!
+//! ```text
 //! Usage: gen-events <out.csv> [n] [kind] [seed]
 //!   kind ∈ {uniform, clustered, world, regions}   (default: clustered)
+//! ```
 
 use stark_eventsim::{write_events_csv, EventGenerator};
 use stark_geo::Envelope;

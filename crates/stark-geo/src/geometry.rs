@@ -124,11 +124,6 @@ impl Geometry {
         relate::distance(self, other)
     }
 
-    /// Whether the geometry is a (multi)point.
-    pub fn is_point_like(&self) -> bool {
-        matches!(self, Geometry::Point(_) | Geometry::MultiPoint(_))
-    }
-
     /// Enclosed area: zero for points and lines, ring area minus holes
     /// for polygons, summed over multi-polygon members.
     pub fn area(&self) -> f64 {

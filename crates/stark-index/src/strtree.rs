@@ -97,11 +97,6 @@ impl<T> StrTree<T> {
         StrTree { root: level.pop(), order, len }
     }
 
-    /// Builds with [`DEFAULT_ORDER`].
-    pub fn build_default(entries: Vec<Entry<T>>) -> Self {
-        Self::build(DEFAULT_ORDER, entries)
-    }
-
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
         self.len

@@ -61,7 +61,11 @@ impl TenantConfig {
     }
 }
 
-/// Service configuration.
+/// Deadline applied when a request does not carry one.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Service configuration. A request without its own deadline gets a
+/// fixed 10 s one.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`ServerHandle::addr`]).
@@ -71,8 +75,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-tenant queue bound; submissions beyond it are shed.
     pub max_queue_depth: usize,
-    /// Deadline applied when a request does not carry one.
-    pub default_deadline_ms: u64,
     /// Plan cache capacity (entries).
     pub plan_cache_capacity: usize,
     pub tenants: Vec<TenantConfig>,
@@ -84,7 +86,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             max_queue_depth: 64,
-            default_deadline_ms: 10_000,
             plan_cache_capacity: 256,
             tenants: vec![TenantConfig::new("default")],
         }
@@ -119,7 +120,6 @@ struct Exec {
     datasets: Vec<SharedDataset>,
     tenants: HashMap<String, Tenant>,
     cache: PlanCache,
-    default_deadline: Duration,
     counters: Counters,
 }
 
@@ -162,7 +162,6 @@ impl QueryServer {
             datasets,
             tenants,
             cache: PlanCache::new(config.plan_cache_capacity),
-            default_deadline: Duration::from_millis(config.default_deadline_ms.max(1)),
             counters: Counters {
                 queries_ok: AtomicU64::new(0),
                 cache_hits: AtomicU64::new(0),
@@ -354,7 +353,7 @@ fn run_query(
     };
 
     // admission + execute on a scheduler worker
-    let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(exec.default_deadline);
+    let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(DEFAULT_DEADLINE);
     let enqueued = Instant::now();
     let (tx, rx) = mpsc::channel();
     // the job captures only Exec — never the scheduler (see Exec docs)

@@ -4,8 +4,8 @@
 //! a producer thread pulls batches from the [`Source`] and pushes them
 //! through a bounded [`stark_engine::channel`] (backpressure: a slow
 //! consumer stalls the pump), and the driver loop turns each batch into
-//! an engine [`Rdd`], feeds the window manager and the continuous-query
-//! engine, and emits per-batch metrics.
+//! an engine [`Rdd`](stark_engine::Rdd), feeds the window manager and
+//! the continuous-query engine, and emits per-batch metrics.
 
 use crate::batch::{BatchMetrics, MicroBatch, StreamReport};
 use crate::delta::{apply_ops, Delta, StatelessOp};
@@ -16,7 +16,7 @@ use crate::source::Source;
 use crate::window::{LatePolicy, WindowManager, WindowPane, WindowSpec};
 use stark::cluster::{dbscan, DbscanParams};
 use stark::SpatialRddExt;
-use stark_engine::channel::{self, RecvError};
+use stark_engine::channel;
 use stark_engine::{Context, StoreData};
 use stark_geo::Envelope;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,7 +76,8 @@ pub enum BatchFailurePolicy {
     Abort,
 }
 
-/// Tuning knobs for a stream run.
+/// Tuning knobs for a stream run. The driver blocks on the batch channel
+/// until the next batch arrives or the stream ends.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Max records the pump requests per batch.
@@ -85,8 +86,6 @@ pub struct StreamConfig {
     pub channel_capacity: usize,
     /// Partitions for each per-batch [`stark_engine::Rdd`].
     pub parallelism: usize,
-    /// How long the driver waits for a batch before re-polling.
-    pub poll: Duration,
     /// Retries a batch's pane aggregation gets after a permanent engine
     /// failure, on top of the engine's own per-task retries. Each retry
     /// re-runs the aggregation as fresh engine jobs (fresh stage
@@ -117,7 +116,6 @@ impl Default for StreamConfig {
             batch_records: 1024,
             channel_capacity: 4,
             parallelism: 4,
-            poll: Duration::from_millis(100),
             max_batch_retries: 2,
             failure_policy: BatchFailurePolicy::Skip,
             shed_policy: ShedPolicy::Block,
@@ -363,11 +361,7 @@ impl StreamContext {
         let run_start = Instant::now();
         let mut report = StreamReport::default();
         loop {
-            let batch = match rx.recv_timeout(self.config.poll) {
-                Ok(batch) => batch,
-                Err(RecvError::TimedOut) => continue,
-                Err(RecvError::Disconnected) => break,
-            };
+            let Ok(batch) = rx.recv() else { break };
             let queue_depth = rx.len();
             let metrics =
                 self.process_batch(batch, queue_depth, &mut job, &mut aggregator, &mut join);

@@ -159,14 +159,6 @@ impl<V: Data> DeltaJoin<V> {
         self.spec.name()
     }
 
-    /// `(left, right)` standing record counts.
-    pub fn side_sizes(&self) -> (usize, usize) {
-        match &self.state {
-            JoinState::Incremental { left, right } => (left.len(), right.len()),
-            JoinState::Recompute { left, right } => (left.len(), right.len()),
-        }
-    }
-
     /// Applies one batch's delta and returns what changed.
     ///
     /// The incremental path emits the *exact* difference of the standing
@@ -408,11 +400,6 @@ impl<V: Data> WindowAggregator<V> {
     /// Late records discarded over the aggregator's lifetime.
     pub fn dropped(&self) -> u64 {
         self.dropped_total
-    }
-
-    /// Windows still open.
-    pub fn open_windows(&self) -> usize {
-        self.windows.len()
     }
 
     /// Drains the side output (only fills under [`LatePolicy::SideOutput`]).

@@ -118,10 +118,6 @@ impl<V: Data> ContinuousQueryEngine<V> {
         ContinuousQueryEngine { state: QueryState::Unindexed(Vec::new()), queries: Vec::new() }
     }
 
-    pub fn is_indexed(&self) -> bool {
-        matches!(self.state, QueryState::Indexed(_))
-    }
-
     /// Registers a standing query (builder style).
     pub fn with_query(mut self, query: StandingQuery) -> Self {
         self.queries.push(query);
@@ -228,7 +224,7 @@ impl<V: Data> ContinuousQueryEngine<V> {
             (QueryState::Unindexed(all), StandingQuery::Knn { focus, k, dist_fn, .. }) => {
                 let mut scored: Vec<(f64, (STObject, V))> =
                     all.iter().map(|r| (r.0.distance(focus, *dist_fn), r.clone())).collect();
-                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+                scored.sort_by(|a, b| a.0.total_cmp(&b.0));
                 scored.truncate(*k);
                 QueryOutput::Neighbors(scored)
             }
@@ -323,6 +319,50 @@ mod tests {
         let eval = indexed.on_batch(&corner);
         assert_eq!(eval.partitions_touched, 1);
         assert_eq!(eval.partitions_rebuilt, 1);
+    }
+
+    proptest::proptest! {
+        /// The unindexed kNN sort must be deterministic with NaN
+        /// distances in play (`total_cmp`, not
+        /// `partial_cmp(..).unwrap_or(Equal)`).
+        #[test]
+        fn unindexed_knn_is_deterministic_with_nan_distances(
+            pts in proptest::collection::vec(((-20.0f64..20.0), (-20.0f64..20.0)), 5..40),
+            nan_at in proptest::collection::vec(0usize..40, 1..5),
+            k in 1usize..10,
+        ) {
+            let mut data: Vec<(STObject, u64)> = pts
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| (STObject::point(x, y), i as u64))
+                .collect();
+            // NaN rows go among the finite ones: at the tail, a sort that
+            // calls NaN equal to everything would leave them in place
+            for (i, at) in nan_at.iter().enumerate() {
+                let row = (STObject::point(f64::NAN, i as f64), 1000 + i as u64);
+                data.insert(at % (data.len() + 1), row);
+            }
+            let knn = || {
+                let mut engine = ContinuousQueryEngine::unindexed()
+                    .with_query(StandingQuery::knn("closest", STObject::point(1.0, 1.0), k));
+                match engine.on_batch(&data).results.remove(0).output {
+                    QueryOutput::Neighbors(n) => n,
+                    other => panic!("expected neighbours, got {} matches", other.len()),
+                }
+            };
+            let (a, b) = (knn(), knn());
+            proptest::prop_assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                proptest::prop_assert!(x.0.total_cmp(&y.0).is_eq() && x.1 .1 == y.1 .1,
+                    "knn with NaN distances is not deterministic");
+            }
+            // finite neighbours sort ascending and ahead of any NaN
+            let finite: Vec<f64> = a.iter().map(|e| e.0).take_while(|d| d.is_finite()).collect();
+            proptest::prop_assert!(finite.windows(2).all(|w| w[0] <= w[1]));
+            proptest::prop_assert!(finite.len() >= k.min(pts.len()),
+                "NaN distances displaced finite neighbours: {:?}",
+                a.iter().map(|e| e.0).collect::<Vec<_>>());
+        }
     }
 
     #[test]

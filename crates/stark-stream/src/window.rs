@@ -48,11 +48,6 @@ impl Watermark {
     pub fn allowed_lateness(&self) -> i64 {
         self.allowed_lateness
     }
-
-    /// Whether an event at `t` is behind the watermark (late).
-    pub fn is_late(&self, t: i64) -> bool {
-        self.current().is_some_and(|w| t < w)
-    }
 }
 
 /// Tumbling or sliding event-time window geometry.

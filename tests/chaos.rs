@@ -48,8 +48,6 @@ fn chaos_ctx_spec(injector: Option<Arc<FaultPlan>>, speculate: bool) -> Context 
         max_task_retries: 3,
         fault_injector: injector,
         speculation: speculate,
-        speculation_quantile: 0.5,
-        speculation_multiplier: 1.5,
         memory_budget,
         ..Default::default()
     })
