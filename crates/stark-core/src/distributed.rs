@@ -103,7 +103,7 @@ mod tests {
     use super::*;
     use stark_engine::plan::{
         decode_rows, encode_rows, shuffle_bucket_key, ExecEnv, PlanFragment, PlanInput, PlanOp,
-        PlanSink, TaskOutput,
+        PlanSink, TaskOutput, TaskResult,
     };
     use stark_engine::{FetchConfig, ShuffleEnv};
 
@@ -157,8 +157,10 @@ mod tests {
         let shuffle = ShuffleEnv::with_config(FetchConfig::default(), None);
         let env = ExecEnv { store: None, shuffle: Some(&shuffle) };
         let payload = encode_rows(&rows()).unwrap();
-        let out = r.execute_env(&fragment, Some(&payload), &env).unwrap();
-        let TaskOutput::BucketCounts(counts) = out.output else { panic!("{out:?}") };
+        let out = r.execute_env(&fragment, &[&payload], &env).unwrap();
+        let [TaskResult { output: TaskOutput::BucketCounts(counts), .. }] = &out[..] else {
+            panic!("{out:?}")
+        };
         assert_eq!(counts.iter().sum::<u64>(), 4, "every row routed");
         let addr = format!("127.0.0.1:{}", shuffle.serve().unwrap());
         let client = ShuffleEnv::with_config(FetchConfig::default(), None);

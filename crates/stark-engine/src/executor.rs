@@ -738,9 +738,22 @@ mod tests {
         assert_eq!(m.deadline_exceeded_jobs, 1);
         assert_eq!(m.tasks_retried, 0, "cancellation must not burn the retry budget");
         assert_eq!(m.tasks_failed_permanently, 0, "a deadline is not a task failure");
-        // the deadline is per job, not cumulative on the context
+        // The deadline is per job, not cumulative on the context. The slow
+        // job alone kept the context busy past 30 ms, so a deadline that
+        // accumulated there would fail every fast attempt; one that
+        // restarts per job fails an attempt only if the thread is
+        // descheduled for 30 ms mid-job, which the next attempt survives.
         let fast = ctx.parallelize((0..8).collect::<Vec<i32>>(), 4);
-        assert_eq!(fast.try_collect().unwrap(), (0..8).collect::<Vec<_>>());
+        let mut attempts = 0;
+        let got = loop {
+            attempts += 1;
+            match fast.try_collect() {
+                Ok(rows) => break rows,
+                Err(e) if e.kind == TaskErrorKind::DeadlineExceeded && attempts < 5 => {}
+                Err(e) => panic!("the fast job failed {attempts} times; last: {e:?}"),
+            }
+        };
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -795,7 +808,10 @@ mod tests {
 
     #[test]
     fn speculation_beats_delay_straggler_with_identical_results() {
-        let stall = std::time::Duration::from_millis(400);
+        // No run can sit out this stall: the struck original sleeps
+        // cooperatively until it is cancelled, so a job that finishes at
+        // all has finished through the speculative copy.
+        let stall = std::time::Duration::from_secs(60);
         let inj =
             FaultPlan::new(11, vec![FaultRule::new(Fault::Delay(stall), Scope::Partition(0))]);
         let injector = Arc::new(inj);
@@ -817,10 +833,8 @@ mod tests {
             .collect();
         let elapsed = started.elapsed();
         assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>(), "dedup must keep output exact");
-        assert!(
-            elapsed < stall * 3 / 4,
-            "speculation should beat the {stall:?} straggler, took {elapsed:?}"
-        );
+        // a hang guard, not a timing bound
+        assert!(elapsed < stall / 2, "speculation never retired the straggler: {elapsed:?}");
         let m = ctx.metrics();
         assert!(m.tasks_speculated >= 1, "the stalled task must be speculated");
         assert!(m.speculative_wins >= 1, "the duplicate must win");

@@ -10,6 +10,12 @@
 //! inside one STK1 frame; the rows themselves never do — they travel as
 //! binary [`encode_rows`] blobs in frames of their own.
 //!
+//! A fragment covers one or more partitions: an inline input one per
+//! payload shipped with it, a fetch input one per entry of
+//! [`PlanInput::Fetch::parts`]. The ops and the sink are resolved once
+//! per fragment and run over each partition's own rows, giving one
+//! [`TaskResult`] per partition.
+//!
 //! Closures do not serialise, so ops are *named*: driver and worker both
 //! build an [`OpRegistry`] that maps op names to closure factories, and
 //! a fragment references ops by name plus a JSON argument. A worker that
@@ -54,14 +60,27 @@ pub struct PlanFragment {
 /// Input source of a plan fragment.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum PlanInput {
-    /// The input rows travel with the task as one raw payload frame
-    /// (an [`encode_rows`] blob).
+    /// The input rows travel with the task as raw payload frames (each
+    /// an [`encode_rows`] blob), one per partition.
     Inline,
-    /// Shuffle read: fetch each bucket from the peer worker that
-    /// produced it, in map-task order, and concatenate. A fetch that
-    /// exhausts its retry budget surfaces as [`PlanError::FetchFailed`],
-    /// which the driver treats as a lost-map-output signal.
-    Fetch { sources: Vec<FetchSource> },
+    /// Shuffle read of one or more reduce partitions: `parts[i]` lists
+    /// partition i's buckets in map-task order, and its rows are their
+    /// concatenation. Every bucket of every part is fetched at once (see
+    /// [`ShuffleEnv::fetch_all`]). A fetch that exhausts its retry budget
+    /// surfaces as [`PlanError::FetchFailed`], which the driver treats
+    /// as a lost-map-output signal.
+    Fetch { parts: Vec<Vec<FetchSource>> },
+}
+
+impl PlanInput {
+    /// Every bucket this input fetches, over all its partitions.
+    pub fn sources(&self) -> impl Iterator<Item = &FetchSource> {
+        let parts: &[Vec<FetchSource>] = match self {
+            PlanInput::Inline => &[],
+            PlanInput::Fetch { parts } => parts,
+        };
+        parts.iter().flatten()
+    }
 }
 
 /// One narrow operation, referenced by registered name plus argument.
@@ -93,7 +112,9 @@ pub enum PlanSink {
     /// under [`shuffle_bucket_key`]`(prefix, task, bucket)`, registered
     /// under `epoch` and served to reducers over the worker's shuffle
     /// port. Ships per-bucket row counts back, from
-    /// which the driver derives the reduce stage's fetch lists.
+    /// which the driver derives the reduce stage's fetch lists. A
+    /// fragment over several partitions writes partition `i` as map
+    /// task `task + i`.
     ShuffleWriteLocal {
         partitioner: String,
         arg: Value,
@@ -376,89 +397,35 @@ impl<T: StoreData> OpRegistry<T> {
         factory(arg)
     }
 
-    /// Runs a fragment over `payload` (for inline input) and `store`
-    /// (for checkpoint sinks), returning the task result — the
-    /// in-process half of [`OpRegistry::execute_env`], and the chaos
-    /// suites' "single-process mode" reference. Shuffle fragments
-    /// (`Fetch` inputs, `ShuffleWriteLocal` sinks) need a [`ShuffleEnv`]
-    /// and fail here with [`PlanError::MissingShuffle`].
-    pub fn execute(
-        &self,
-        fragment: &PlanFragment,
-        payload: Option<&[u8]>,
-        store: Option<&ObjectStore>,
-    ) -> Result<TaskResult, PlanError> {
-        self.execute_env(fragment, payload, &ExecEnv { store, shuffle: None })
+    /// Resolves an op chain to its closures.
+    fn resolve_steps(&self, ops: &[PlanOp]) -> Result<Vec<Step<T>>, PlanError> {
+        ops.iter()
+            .map(|op| {
+                Ok(match op {
+                    PlanOp::Map { op, arg } => {
+                        Step::Map(Self::resolve("map", &self.maps, op, arg)?)
+                    }
+                    PlanOp::Filter { op, arg } => {
+                        Step::Filter(Self::resolve("filter", &self.filters, op, arg)?)
+                    }
+                    PlanOp::FlatMap { op, arg } => {
+                        Step::FlatMap(Self::resolve("flat_map", &self.flat_maps, op, arg)?)
+                    }
+                    PlanOp::MapPartitions { op, arg } => {
+                        Step::Parts(Self::resolve("map_partitions", &self.map_partitions, op, arg)?)
+                    }
+                })
+            })
+            .collect()
     }
 
-    /// Runs a fragment with the full execution environment: the shared
-    /// object store *and* the worker's shuffle half. This is the
-    /// worker's entire task execution path.
-    pub fn execute_env(
-        &self,
-        fragment: &PlanFragment,
-        payload: Option<&[u8]>,
-        env: &ExecEnv<'_>,
-    ) -> Result<TaskResult, PlanError> {
-        if fragment.schema != self.schema {
-            return Err(PlanError::SchemaMismatch {
-                expected: self.schema.clone(),
-                got: fragment.schema.clone(),
-            });
-        }
-
-        let mut rows: Vec<T> = match &fragment.input {
-            PlanInput::Inline => decode_rows(payload.ok_or(PlanError::MissingPayload)?)?,
-            PlanInput::Fetch { sources } => {
-                let shuffle = env.shuffle.ok_or(PlanError::MissingShuffle)?;
-                let mut rows = Vec::new();
-                for src in sources {
-                    let bytes = shuffle
-                        .fetch(&src.addr, &src.key, src.epoch)
-                        .map_err(PlanError::FetchFailed)?;
-                    rows.extend(decode_rows::<T>(&bytes)?);
-                }
-                rows
-            }
-        };
-
-        for op in &fragment.ops {
-            rows = match op {
-                PlanOp::Map { op, arg } => {
-                    let f = Self::resolve("map", &self.maps, op, arg)?;
-                    rows.into_iter().map(|t| f(t)).collect()
-                }
-                PlanOp::Filter { op, arg } => {
-                    let f = Self::resolve("filter", &self.filters, op, arg)?;
-                    rows.into_iter().filter(|t| f(t)).collect()
-                }
-                PlanOp::FlatMap { op, arg } => {
-                    let f = Self::resolve("flat_map", &self.flat_maps, op, arg)?;
-                    rows.into_iter().flat_map(|t| f(t)).collect()
-                }
-                PlanOp::MapPartitions { op, arg } => {
-                    let f = Self::resolve("map_partitions", &self.map_partitions, op, arg)?;
-                    f(rows)
-                }
-            };
-        }
-
-        match &fragment.sink {
-            PlanSink::Collect => {
-                let n = rows.len() as u64;
-                let payload = encode_rows(&rows)?;
-                let bytes = payload.len() as u64;
-                Ok(TaskResult {
-                    output: TaskOutput::Rows { rows: n, bytes },
-                    payload: Some(payload),
-                })
-            }
-            PlanSink::Count => {
-                Ok(TaskResult { output: TaskOutput::Count(rows.len() as u64), payload: None })
-            }
+    /// Resolves a sink's closure, if it names one.
+    fn resolve_sink<'a>(&self, sink: &'a PlanSink) -> Result<Sink<'a, T>, PlanError> {
+        Ok(match sink {
+            PlanSink::Collect => Sink::Collect,
+            PlanSink::Count => Sink::Count,
             PlanSink::CollectWith { op, arg } => {
-                let f = Self::resolve("collector", &self.collectors, op, arg)?;
-                Ok(TaskResult { output: TaskOutput::Json(f(rows)?), payload: None })
+                Sink::CollectWith(Self::resolve("collector", &self.collectors, op, arg)?)
             }
             PlanSink::ShuffleWriteLocal {
                 partitioner,
@@ -467,36 +434,82 @@ impl<T: StoreData> OpRegistry<T> {
                 prefix,
                 task,
                 epoch,
-            } => {
-                let shuffle = env.shuffle.ok_or(PlanError::MissingShuffle)?;
-                let key_fn = Self::resolve("partitioner", &self.partitioners, partitioner, arg)?;
-                let buckets = route_buckets(&key_fn, rows, *num_partitions)?;
-                let mut counts = Vec::with_capacity(buckets.len());
-                for (b, bucket) in buckets.iter().enumerate() {
-                    counts.push(bucket.len() as u64);
-                    if !bucket.is_empty() {
-                        shuffle.put_bucket(
-                            &shuffle_bucket_key(prefix, *task, b),
-                            *epoch,
-                            &encode_rows(bucket)?,
-                        )?;
-                    }
-                }
-                Ok(TaskResult { output: TaskOutput::BucketCounts(counts), payload: None })
-            }
+            } => Sink::ShuffleWriteLocal {
+                key_fn: Self::resolve("partitioner", &self.partitioners, partitioner, arg)?,
+                num_partitions: *num_partitions,
+                prefix,
+                task: *task,
+                epoch: *epoch,
+            },
             PlanSink::Checkpoint { key, partition } => {
-                let store = env.store.ok_or(PlanError::MissingStore)?;
-                let blob_key = checkpoint_blob_key(key, *partition);
-                let data = encode_rows(&rows)?;
-                store.put_bytes(&blob_key, &data)?;
-                Ok(TaskResult {
-                    output: TaskOutput::Checkpointed {
-                        key: blob_key,
-                        rows: rows.len() as u64,
-                        bytes: data.len() as u64,
-                    },
-                    payload: None,
-                })
+                Sink::Checkpoint { key, partition: *partition }
+            }
+        })
+    }
+
+    /// Runs an inline fragment over `payload` (and `store`, for
+    /// checkpoint sinks), returning its one task result — the in-process
+    /// half of [`OpRegistry::execute_env`], and the chaos suites'
+    /// "single-process mode" reference. Shuffle fragments (`Fetch`
+    /// inputs, `ShuffleWriteLocal` sinks) need a [`ShuffleEnv`] and fail
+    /// here with [`PlanError::MissingShuffle`].
+    pub fn execute(
+        &self,
+        fragment: &PlanFragment,
+        payload: Option<&[u8]>,
+        store: Option<&ObjectStore>,
+    ) -> Result<TaskResult, PlanError> {
+        let payloads: Vec<&[u8]> = payload.into_iter().collect();
+        let results = self.execute_env(fragment, &payloads, &ExecEnv { store, shuffle: None })?;
+        // without a shuffle environment only an inline input resolves
+        results.into_iter().next().ok_or(PlanError::MissingShuffle)
+    }
+
+    /// Runs a fragment with the full execution environment: the shared
+    /// object store *and* the worker's shuffle half. This is the
+    /// worker's entire task execution path. The ops and the sink are
+    /// resolved once; the result holds one [`TaskResult`] per partition
+    /// — per payload of an inline input, per part of a fetch input — in
+    /// order.
+    pub fn execute_env(
+        &self,
+        fragment: &PlanFragment,
+        payloads: &[&[u8]],
+        env: &ExecEnv<'_>,
+    ) -> Result<Vec<TaskResult>, PlanError> {
+        if fragment.schema != self.schema {
+            return Err(PlanError::SchemaMismatch {
+                expected: self.schema.clone(),
+                got: fragment.schema.clone(),
+            });
+        }
+        let steps = self.resolve_steps(&fragment.ops)?;
+        let sink = self.resolve_sink(&fragment.sink)?;
+        let run = |part: usize, rows: Vec<T>| run_part(part, rows, &steps, &sink, env);
+
+        match &fragment.input {
+            PlanInput::Inline if payloads.is_empty() => Err(PlanError::MissingPayload),
+            PlanInput::Inline => payloads
+                .iter()
+                .enumerate()
+                .map(|(part, payload)| run(part, decode_rows(payload)?))
+                .collect(),
+            PlanInput::Fetch { parts } => {
+                let shuffle = env.shuffle.ok_or(PlanError::MissingShuffle)?;
+                let sources: Vec<&FetchSource> = fragment.input.sources().collect();
+                let blobs = shuffle.fetch_all(&sources).map_err(PlanError::FetchFailed)?;
+                let mut blobs = blobs.into_iter();
+                parts
+                    .iter()
+                    .enumerate()
+                    .map(|(part, sources)| {
+                        let mut rows = Vec::new();
+                        for blob in blobs.by_ref().take(sources.len()) {
+                            rows.extend(decode_rows::<T>(&blob)?);
+                        }
+                        run(part, rows)
+                    })
+                    .collect()
             }
         }
     }
@@ -506,24 +519,12 @@ impl<T: StoreData> OpRegistry<T> {
     /// execution therefore share one plan — only the transport differs.
     pub fn apply_ops(&self, rdd: &Rdd<T>, ops: &[PlanOp]) -> Result<Rdd<T>, PlanError> {
         let mut cur = rdd.clone();
-        for op in ops {
-            cur = match op {
-                PlanOp::Map { op, arg } => {
-                    let f = Self::resolve("map", &self.maps, op, arg)?;
-                    cur.map(move |t| f(t))
-                }
-                PlanOp::Filter { op, arg } => {
-                    let f = Self::resolve("filter", &self.filters, op, arg)?;
-                    cur.filter(move |t| f(t))
-                }
-                PlanOp::FlatMap { op, arg } => {
-                    let f = Self::resolve("flat_map", &self.flat_maps, op, arg)?;
-                    cur.flat_map(move |t| f(t))
-                }
-                PlanOp::MapPartitions { op, arg } => {
-                    let f = Self::resolve("map_partitions", &self.map_partitions, op, arg)?;
-                    cur.map_partitions(move |rows| f(rows))
-                }
+        for step in self.resolve_steps(ops)? {
+            cur = match step {
+                Step::Map(f) => cur.map(move |t| f(t)),
+                Step::Filter(f) => cur.filter(move |t| f(t)),
+                Step::FlatMap(f) => cur.flat_map(move |t| f(t)),
+                Step::Parts(f) => cur.map_partitions(move |rows| f(rows)),
             };
         }
         Ok(cur)
@@ -538,30 +539,98 @@ impl<T: StoreData> OpRegistry<T> {
                 got: fragment.schema.clone(),
             });
         }
-        for op in &fragment.ops {
-            match op {
-                PlanOp::Map { op, arg } => Self::resolve("map", &self.maps, op, arg).map(|_| ())?,
-                PlanOp::Filter { op, arg } => {
-                    Self::resolve("filter", &self.filters, op, arg).map(|_| ())?
-                }
-                PlanOp::FlatMap { op, arg } => {
-                    Self::resolve("flat_map", &self.flat_maps, op, arg).map(|_| ())?
-                }
-                PlanOp::MapPartitions { op, arg } => {
-                    Self::resolve("map_partitions", &self.map_partitions, op, arg).map(|_| ())?
-                }
-            }
-        }
-        match &fragment.sink {
-            PlanSink::CollectWith { op, arg } => {
-                Self::resolve("collector", &self.collectors, op, arg).map(|_| ())?
-            }
-            PlanSink::ShuffleWriteLocal { partitioner, arg, .. } => {
-                Self::resolve("partitioner", &self.partitioners, partitioner, arg).map(|_| ())?
-            }
-            _ => {}
-        }
+        self.resolve_steps(&fragment.ops)?;
+        self.resolve_sink(&fragment.sink)?;
         Ok(())
+    }
+}
+
+/// A resolved narrow op.
+enum Step<T> {
+    Map(RowFn<T>),
+    Filter(PredFn<T>),
+    FlatMap(FlatFn<T>),
+    Parts(PartsFn<T>),
+}
+
+/// A resolved [`PlanSink`]: the same terminal with its closure looked up.
+enum Sink<'a, T> {
+    Collect,
+    Count,
+    CollectWith(CollectFn<T>),
+    ShuffleWriteLocal {
+        key_fn: KeyFn<T>,
+        num_partitions: usize,
+        prefix: &'a str,
+        task: usize,
+        epoch: u64,
+    },
+    Checkpoint {
+        key: &'a str,
+        partition: usize,
+    },
+}
+
+/// Runs the rows of a fragment's partition `part` through resolved ops
+/// into a resolved sink.
+fn run_part<T: StoreData>(
+    part: usize,
+    mut rows: Vec<T>,
+    steps: &[Step<T>],
+    sink: &Sink<'_, T>,
+    env: &ExecEnv<'_>,
+) -> Result<TaskResult, PlanError> {
+    for step in steps {
+        rows = match step {
+            Step::Map(f) => rows.into_iter().map(|t| f(t)).collect(),
+            Step::Filter(f) => rows.into_iter().filter(|t| f(t)).collect(),
+            Step::FlatMap(f) => rows.into_iter().flat_map(|t| f(t)).collect(),
+            Step::Parts(f) => f(rows),
+        };
+    }
+    match sink {
+        Sink::Collect => {
+            let n = rows.len() as u64;
+            let payload = encode_rows(&rows)?;
+            let bytes = payload.len() as u64;
+            Ok(TaskResult { output: TaskOutput::Rows { rows: n, bytes }, payload: Some(payload) })
+        }
+        Sink::Count => {
+            Ok(TaskResult { output: TaskOutput::Count(rows.len() as u64), payload: None })
+        }
+        Sink::CollectWith(f) => {
+            Ok(TaskResult { output: TaskOutput::Json(f(rows)?), payload: None })
+        }
+        Sink::ShuffleWriteLocal { key_fn, num_partitions, prefix, task, epoch } => {
+            let shuffle = env.shuffle.ok_or(PlanError::MissingShuffle)?;
+            let buckets = route_buckets(key_fn, rows, *num_partitions)?;
+            let mut counts = Vec::with_capacity(buckets.len());
+            for (b, bucket) in buckets.iter().enumerate() {
+                counts.push(bucket.len() as u64);
+                if !bucket.is_empty() {
+                    shuffle.put_bucket(
+                        &shuffle_bucket_key(prefix, task + part, b),
+                        *epoch,
+                        &encode_rows(bucket)?,
+                    )?;
+                }
+            }
+            Ok(TaskResult { output: TaskOutput::BucketCounts(counts), payload: None })
+        }
+        Sink::Checkpoint { key, partition } => {
+            let store = env.store.ok_or(PlanError::MissingStore)?;
+            let blob_key = checkpoint_blob_key(key, *partition);
+            let data = encode_rows(&rows)?;
+            store.put_bytes(&blob_key, &data)?;
+            Ok(TaskResult {
+                output: TaskOutput::Checkpointed {
+                    key: blob_key,
+                    rows: rows.len() as u64,
+                    bytes: data.len() as u64,
+                },
+                payload: None,
+            })
+        }
     }
 }
 
@@ -603,9 +672,9 @@ pub trait SchemaExecutor: Send + Sync {
     fn execute_env(
         &self,
         fragment: &PlanFragment,
-        payload: Option<&[u8]>,
+        payloads: &[&[u8]],
         env: &ExecEnv<'_>,
-    ) -> Result<TaskResult, PlanError>;
+    ) -> Result<Vec<TaskResult>, PlanError>;
 }
 
 impl<T: StoreData> SchemaExecutor for OpRegistry<T> {
@@ -616,10 +685,10 @@ impl<T: StoreData> SchemaExecutor for OpRegistry<T> {
     fn execute_env(
         &self,
         fragment: &PlanFragment,
-        payload: Option<&[u8]>,
+        payloads: &[&[u8]],
         env: &ExecEnv<'_>,
-    ) -> Result<TaskResult, PlanError> {
-        OpRegistry::execute_env(self, fragment, payload, env)
+    ) -> Result<Vec<TaskResult>, PlanError> {
+        OpRegistry::execute_env(self, fragment, payloads, env)
     }
 }
 
@@ -717,11 +786,14 @@ mod tests {
     fn fragment_roundtrips_through_json() {
         let f = frag(
             PlanInput::Fetch {
-                sources: vec![FetchSource {
-                    addr: "127.0.0.1:4000".into(),
-                    key: shuffle_bucket_key("sh", 0, 1),
-                    epoch: 2,
-                }],
+                parts: vec![
+                    vec![FetchSource {
+                        addr: "127.0.0.1:4000".into(),
+                        key: shuffle_bucket_key("sh", 0, 1),
+                        epoch: 2,
+                    }],
+                    Vec::new(),
+                ],
             },
             vec![
                 PlanOp::Map { op: "add".into(), arg: int_arg("k", 3) },
@@ -779,34 +851,43 @@ mod tests {
         let r = int_registry();
         let server = shuffle_env();
         let map_env = ExecEnv { store: None, shuffle: Some(&server) };
-        // two map tasks, so the reduce side concatenates in task order
-        for (task, rows) in [(0, vec![9i64, 0, 4]), (1, vec![3, 6, 7])] {
-            let payload = encode_rows(&rows).unwrap();
-            let out = r
-                .execute_env(
-                    &frag(PlanInput::Inline, vec![], write_local(task, 3)),
-                    Some(&payload),
-                    &map_env,
-                )
-                .unwrap();
-            assert_eq!(out.output, TaskOutput::BucketCounts(vec![2, 1, 0]));
-        }
+        // two map tasks in one fragment (partition i writes as task i), so
+        // the reduce side concatenates in task order
+        let payloads = [encode_rows(&[9i64, 0, 4]).unwrap(), encode_rows(&[3i64, 6, 7]).unwrap()];
+        let out = r
+            .execute_env(
+                &frag(PlanInput::Inline, vec![], write_local(0, 3)),
+                &[&payloads[0], &payloads[1]],
+                &map_env,
+            )
+            .unwrap();
+        let counts = TaskResult { output: TaskOutput::BucketCounts(vec![2, 1, 0]), payload: None };
+        assert_eq!(out, vec![counts.clone(), counts]);
         let port = server.serve().unwrap();
 
-        // the reduce side fetches bucket 0 of both tasks from the server
-        let sources = (0..2)
-            .map(|task| FetchSource {
-                addr: format!("127.0.0.1:{port}"),
-                key: shuffle_bucket_key("sh", task, 0),
-                epoch: 0,
-            })
-            .collect();
-        let read = frag(PlanInput::Fetch { sources }, vec![], PlanSink::Collect);
+        // one reduce fragment reads all three partitions from the server;
+        // partition 2 got no rows, so it has no buckets to fetch
+        let source = |task, bucket| FetchSource {
+            addr: format!("127.0.0.1:{port}"),
+            key: shuffle_bucket_key("sh", task, bucket),
+            epoch: 0,
+        };
+        let parts =
+            vec![vec![source(0, 0), source(1, 0)], vec![source(0, 1), source(1, 1)], vec![]];
+        let read = frag(PlanInput::Fetch { parts }, vec![], PlanSink::Collect);
         let client = shuffle_env();
-        let result =
-            r.execute_env(&read, None, &ExecEnv { store: None, shuffle: Some(&client) }).unwrap();
-        let rows: Vec<i64> = decode_rows(result.payload.as_deref().unwrap()).unwrap();
-        assert_eq!(rows, vec![9, 0, 3, 6], "map-task order, then row order within a task");
+        let results =
+            r.execute_env(&read, &[], &ExecEnv { store: None, shuffle: Some(&client) }).unwrap();
+        let rows: Vec<Vec<i64>> = results
+            .iter()
+            .map(|result| decode_rows(result.payload.as_deref().unwrap()).unwrap())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![vec![9, 0, 3, 6], vec![4, 7], vec![]],
+            "one result per partition: map-task order, then row order within a task"
+        );
+        assert_eq!(client.take_counters().requests, 1, "every bucket in one request");
 
         // without a shuffle environment neither side resolves
         assert!(matches!(r.execute(&read, None, None), Err(PlanError::MissingShuffle)));

@@ -15,11 +15,13 @@
 //! * **Recovery** — a dead worker's in-flight task is reassigned to a
 //!   survivor with a bumped attempt number (lineage-based recovery at
 //!   the granularity of plan fragments); map outputs it had already
-//!   served are regenerated by [`WorkerPool::run_shuffle`]. A loss
-//!   that strands outputs an unfinished reduce still fetches ends the
-//!   round ([`PoolError::ProducerLost`]) instead of reassigning into
-//!   it. The seat respawns with exponential backoff, jittered so a mass
-//!   outage doesn't thunder back in lockstep.
+//!   served are regenerated by [`WorkerPool::run_shuffle`]. A reduce
+//!   task covers a group of partitions and is retried or reassigned as
+//!   one task. A loss that strands outputs any partition of an
+//!   unfinished reduce still fetches ends the round
+//!   ([`PoolError::ProducerLost`]) instead of reassigning into it. The
+//!   seat respawns with exponential backoff, jittered so a mass outage
+//!   doesn't thunder back in lockstep.
 //! * **Graceful drain** — shutdown sends [`DriverMsg::Drain`], waits
 //!   briefly for clean exits, then kills stragglers.
 //!
@@ -38,8 +40,9 @@ use crate::plan::{
 };
 use crate::shuffle::{FetchFailure, FetchSource};
 use crate::storage::{crc32, ObjectStore, FRAME_MAGIC};
-use crate::transport::{recv_msg, recv_payload, send_msg, write_frame, DriverMsg, WorkerMsg};
+use crate::transport::{recv_msg, recv_result, send_msg, write_frame, DriverMsg, WorkerMsg};
 use serde_json::Value;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufReader, Write};
@@ -230,8 +233,13 @@ pub struct PoolStats {
     pub map_outputs_lost: u64,
     /// Map outputs re-produced via lineage at a bumped shuffle epoch.
     pub map_outputs_regenerated: u64,
-    /// Bucket payload bytes pulled over peer-to-peer fetch connections.
+    /// Bucket payload bytes pulled over peer-to-peer fetch connections
+    /// (a reducer's reads of its own worker's buckets cross no socket
+    /// and are not counted).
     pub shuffle_bytes_fetched_remote: u64,
+    /// Fetch requests sent over a socket; each names every bucket a
+    /// reduce task wants from one peer.
+    pub fetch_requests: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +293,8 @@ pub struct ShuffleSpec {
     pub prefix: String,
     /// Ops applied to each reduce partition's concatenated rows.
     pub reduce_ops: Vec<PlanOp>,
-    /// Sink of each reduce task (one task per partition).
+    /// Sink of each reduce partition; every partition keeps its own
+    /// output, however the partitions are grouped into tasks.
     pub reduce_sink: PlanSink,
 }
 
@@ -324,13 +333,80 @@ impl ShuffleRegistry {
     }
 }
 
+/// Splits `weights.len()` items into at most `groups` runs of adjacent
+/// items — exactly `groups` when there are that many items — each
+/// weighing about the same. A run ends where adding the next item would
+/// overshoot the run's share of the total by more than stopping short
+/// of it undershoots.
+fn balanced_runs(weights: &[u64], groups: usize) -> Vec<std::ops::Range<usize>> {
+    let n = weights.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let groups = groups.clamp(1, n);
+    let total: u64 = weights.iter().sum();
+    let mut out = Vec::with_capacity(groups);
+    let (mut start, mut acc) = (0, 0u64);
+    for (p, &w) in weights.iter().enumerate() {
+        let closed = out.len();
+        let open = groups - closed; // groups left, counting this one
+        if p > start && open > 1 {
+            // cumulative boundary of the current group
+            let target = total * (closed as u64 + 1) / groups as u64;
+            let overshoot = (acc + w).saturating_sub(target);
+            let undershoot = target.saturating_sub(acc);
+            // the rest must leave a partition for every later group
+            if overshoot > undershoot || n - p < open {
+                out.push(start..p);
+                start = p;
+            }
+        }
+        acc += w;
+    }
+    out.push(start..n);
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Pool internals
 // ---------------------------------------------------------------------------
 
+/// A task's results — one per partition — and the seat incarnation
+/// `(seat, gen)` that produced them.
+type Traced = (Vec<TaskResult>, usize, u64);
+
+/// One dispatch: a fragment and the inline payloads sent after it, one
+/// per partition of an inline input (none for a fetch input).
+struct Unit<'a> {
+    fragment: Cow<'a, PlanFragment>,
+    payloads: Vec<&'a [u8]>,
+}
+
+impl Unit<'_> {
+    /// How many outputs the worker answers with. An inline unit without
+    /// a payload still answers (with an error) as one partition.
+    fn partitions(&self) -> usize {
+        match &self.fragment.input {
+            PlanInput::Inline => self.payloads.len().max(1),
+            PlanInput::Fetch { parts } => parts.len(),
+        }
+    }
+}
+
 enum Event {
-    Msg { seat: usize, gen: u64, msg: WorkerMsg, rows: Option<Vec<u8>> },
-    Gone { seat: usize, gen: u64, reason: String },
+    /// `results` are the per-partition results that followed a
+    /// `TaskOk`, in order.
+    Msg {
+        seat: usize,
+        gen: u64,
+        msg: WorkerMsg,
+        results: Vec<TaskResult>,
+    },
+    Gone {
+        seat: usize,
+        gen: u64,
+        reason: String,
+    },
 }
 
 enum SlotState {
@@ -549,18 +625,26 @@ impl WorkerPool {
     }
 
     /// Runs a stage of tasks to completion, reassigning work away from
-    /// lost workers, and returns the per-task results in input order.
+    /// lost workers, and returns one result per partition: in task
+    /// order, and within a task in partition order. An inline task is
+    /// one partition, so a stage of inline tasks yields one result per
+    /// task.
     pub fn execute(&mut self, tasks: &[DistTask]) -> Result<Vec<TaskResult>, PoolError> {
-        Ok(self.execute_traced(tasks)?.into_iter().map(|(r, _, _)| r).collect())
+        let units: Vec<Unit> = tasks
+            .iter()
+            .map(|t| Unit {
+                fragment: Cow::Borrowed(&t.fragment),
+                payloads: t.payload.as_deref().into_iter().collect(),
+            })
+            .collect();
+        Ok(self.execute_traced(&units)?.into_iter().flat_map(|(r, _, _)| r).collect())
     }
 
-    /// Like [`Self::execute`] but also reports which seat incarnation
-    /// `(seat, gen)` completed each task — the map-output registry needs
-    /// the producer's identity to later detect its loss.
-    fn execute_traced(
-        &mut self,
-        tasks: &[DistTask],
-    ) -> Result<Vec<(TaskResult, usize, u64)>, PoolError> {
+    /// Like [`Self::execute`] over dispatch units, keeping each unit's
+    /// results together and reporting which seat incarnation
+    /// `(seat, gen)` completed it — the map-output registry needs the
+    /// producer's identity to later detect its loss.
+    fn execute_traced(&mut self, tasks: &[Unit]) -> Result<Vec<Traced>, PoolError> {
         if tasks.is_empty() {
             return Ok(Vec::new());
         }
@@ -569,7 +653,7 @@ impl WorkerPool {
         self.reset_for_new_job();
 
         let n = tasks.len();
-        let mut results: Vec<Option<(TaskResult, usize, u64)>> = vec![None; n];
+        let mut results: Vec<Option<Traced>> = vec![None; n];
         let mut pending: VecDeque<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
         let mut done = 0usize;
 
@@ -601,6 +685,18 @@ impl WorkerPool {
     /// map-side schema/input/ops and payloads; their sinks are replaced
     /// by the pool's [`PlanSink::ShuffleWriteLocal`]. Returns one
     /// [`TaskResult`] per partition, in partition order.
+    ///
+    /// Each round runs one task per live seat, not one per partition.
+    /// The map round groups adjacent map tasks by payload bytes (a run
+    /// breaks where their fragments differ). The reduce round groups
+    /// adjacent partitions so that each group holds about the same
+    /// number of rows (by the registry's bucket counts, plus one per
+    /// partition so empty ones spread too). Each reduce group's worker
+    /// resolves the reduce ops once, reads the buckets it produced
+    /// itself from memory, fetches the rest with one request per peer,
+    /// and answers with one output per partition — so the results are
+    /// the same bytes as one task per partition would give. A group is
+    /// retried or reassigned as one task.
     ///
     /// Map outputs lost to a worker death (or served corrupt) are
     /// re-produced via lineage at a bumped epoch, in up to four rounds.
@@ -653,20 +749,27 @@ impl WorkerPool {
                 continue;
             }
 
-            let reduces: Vec<DistTask> = (0..spec.num_partitions)
-                .map(|p| {
-                    DistTask::new(PlanFragment {
+            let weights: Vec<u64> = self
+                .partition_rows(&spec.prefix, spec.num_partitions)
+                .iter()
+                .map(|r| r + 1)
+                .collect();
+            let reduces: Vec<Unit> = balanced_runs(&weights, self.live_workers())
+                .into_iter()
+                .map(|group| Unit {
+                    fragment: Cow::Owned(PlanFragment {
                         schema: schema.clone(),
-                        input: PlanInput::Fetch { sources: self.fetch_sources(&spec.prefix, p) },
+                        input: PlanInput::Fetch {
+                            parts: group.map(|p| self.fetch_sources(&spec.prefix, p)).collect(),
+                        },
                         ops: spec.reduce_ops.clone(),
                         sink: spec.reduce_sink.clone(),
-                    })
+                    }),
+                    payloads: Vec::new(),
                 })
                 .collect();
             match self.execute_traced(&reduces) {
-                Ok(traced) => {
-                    return Ok(traced.into_iter().map(|(r, _, _)| r).collect());
-                }
+                Ok(traced) => return Ok(traced.into_iter().flat_map(|(r, _, _)| r).collect()),
                 Err(e @ (PoolError::FetchFailed { .. } | PoolError::ProducerLost { .. })) => {
                     rounds += 1;
                     if rounds > MAX_SHUFFLE_REGENS {
@@ -737,6 +840,11 @@ impl WorkerPool {
     /// registers their outputs. An output whose producer died before
     /// registration counts as lost — it was produced but never servable,
     /// and the next round re-produces it.
+    ///
+    /// `which` (ascending) is split into about one group per live seat,
+    /// balanced by payload bytes; a group is a run of consecutive map
+    /// tasks with the same fragment and an inline payload each, sent as
+    /// one task whose partition `i` writes as map task `first + i`.
     fn produce_map_outputs(
         &mut self,
         map_tasks: &[DistTask],
@@ -744,38 +852,63 @@ impl WorkerPool {
         which: &[usize],
         epoch: u64,
     ) -> Result<(), PoolError> {
-        let staged: Vec<DistTask> = which
+        let groupable = |a: usize, b: usize| {
+            b == a + 1
+                && map_tasks[a].fragment == map_tasks[b].fragment
+                && map_tasks[a].payload.is_some()
+                && map_tasks[b].payload.is_some()
+        };
+        let weights: Vec<u64> = which
             .iter()
-            .map(|&task| {
-                let mut frag = map_tasks[task].fragment.clone();
+            .map(|&t| map_tasks[t].payload.as_ref().map_or(0, |p| p.len() as u64) + 1)
+            .collect();
+        let mut groups: Vec<&[usize]> = Vec::new();
+        for run in balanced_runs(&weights, self.live_workers()) {
+            let run = &which[run];
+            let mut start = 0;
+            for k in 1..=run.len() {
+                if k == run.len() || !groupable(run[k - 1], run[k]) {
+                    groups.push(&run[start..k]);
+                    start = k;
+                }
+            }
+        }
+        let staged: Vec<Unit> = groups
+            .iter()
+            .map(|group| {
+                let mut frag = map_tasks[group[0]].fragment.clone();
                 frag.sink = PlanSink::ShuffleWriteLocal {
                     partitioner: spec.partitioner.clone(),
                     arg: spec.partitioner_arg.clone(),
                     num_partitions: spec.num_partitions,
                     prefix: spec.prefix.clone(),
-                    task,
+                    task: group[0],
                     epoch,
                 };
-                DistTask { fragment: frag, payload: map_tasks[task].payload.clone() }
+                let payloads = group.iter().filter_map(|&t| map_tasks[t].payload.as_deref());
+                Unit { fragment: Cow::Owned(frag), payloads: payloads.collect() }
             })
             .collect();
         let traced = self.execute_traced(&staged)?;
         let mut lost = 0u64;
         let mut regenerated = 0u64;
-        for (i, (result, seat, gen)) in traced.into_iter().enumerate() {
-            let task = which[i];
-            let counts = match result.output {
-                TaskOutput::BucketCounts(c) => c,
-                other => panic!("shuffle map task returned {other:?}, not bucket counts"),
-            };
+        for (group, (results, seat, gen)) in groups.iter().zip(traced) {
             let port = self.slots[seat].shuffle_port;
-            if self.slots[seat].gen != gen || !self.slots[seat].is_live() || port == 0 {
-                lost += 1;
-                continue;
-            }
-            let reg = self.map_outputs.get_mut(&spec.prefix).expect("stage registered");
-            if reg.register(task, MapOutputEntry { seat, gen, port, epoch, counts }) && epoch > 0 {
-                regenerated += 1;
+            let live = self.slots[seat].gen == gen && self.slots[seat].is_live() && port != 0;
+            for (&task, result) in group.iter().zip(results) {
+                let counts = match result.output {
+                    TaskOutput::BucketCounts(c) => c,
+                    other => panic!("shuffle map task returned {other:?}, not bucket counts"),
+                };
+                if !live {
+                    lost += 1;
+                    continue;
+                }
+                let reg = self.map_outputs.get_mut(&spec.prefix).expect("stage registered");
+                let entry = MapOutputEntry { seat, gen, port, epoch, counts };
+                if reg.register(task, entry) && epoch > 0 {
+                    regenerated += 1;
+                }
             }
         }
         self.stats.map_outputs_lost += lost;
@@ -810,6 +943,18 @@ impl WorkerPool {
                 self.mark_down(seat, "unusable shuffle server", &mut VecDeque::new(), true);
             }
         }
+    }
+
+    /// Rows each reduce partition will read, summed over the registered
+    /// map outputs.
+    fn partition_rows(&self, prefix: &str, partitions: usize) -> Vec<u64> {
+        let mut rows = vec![0u64; partitions];
+        for entry in self.map_outputs[prefix].entries.values() {
+            for (p, n) in rows.iter_mut().zip(&entry.counts) {
+                *p += n;
+            }
+        }
+        rows
     }
 
     /// Builds the fetch list for one reduce partition, in map-task order
@@ -936,12 +1081,7 @@ impl WorkerPool {
         }
     }
 
-    fn assign_pending(
-        &mut self,
-        pending: &mut VecDeque<(usize, u32)>,
-        tasks: &[DistTask],
-        job: u64,
-    ) {
+    fn assign_pending(&mut self, pending: &mut VecDeque<(usize, u32)>, tasks: &[Unit], job: u64) {
         for seat in 0..self.slots.len() {
             if pending.is_empty() {
                 return;
@@ -968,7 +1108,7 @@ impl WorkerPool {
         seat: usize,
         task: usize,
         attempt: u32,
-        dist: &DistTask,
+        unit: &Unit,
         job: u64,
     ) -> Result<(), String> {
         let faults = self.cfg.faults.as_deref();
@@ -981,8 +1121,8 @@ impl WorkerPool {
         let msg = DriverMsg::Task {
             id: task as u64,
             attempt,
-            fragment: dist.fragment.clone(),
-            has_payload: dist.payload.is_some(),
+            fragment: unit.fragment.clone().into_owned(),
+            payloads: unit.payloads.len() as u32,
         };
 
         match fault {
@@ -1006,40 +1146,49 @@ impl WorkerPool {
             _ => {}
         }
 
-        let payload_len = dist.payload.as_ref().map(|p| p.len() as u64).unwrap_or(0);
+        let payload_len: usize = unit.payloads.iter().map(|p| p.len()).sum();
         let writer = self.slots[seat].writer.as_mut().expect("live worker has a writer");
         let send_result = match fault {
             Some(Fault::TruncateFrame) => send_truncated(writer, &msg),
             Some(Fault::CorruptFrame) => send_corrupted(writer, &msg),
             _ => {
-                let r = send_msg(writer, &msg);
-                match (&r, &dist.payload) {
-                    (Ok(()), Some(p)) => write_frame(writer, p),
-                    _ => r,
-                }
+                // the control frame and its payload frames in one write
+                let mut frames = Vec::with_capacity(payload_len + 1024);
+                send_msg(&mut frames, &msg)
+                    .and_then(|()| {
+                        unit.payloads.iter().try_for_each(|p| write_frame(&mut frames, p))
+                    })
+                    .and_then(|()| writer.write_all(&frames))
             }
         };
         send_result.map_err(|e| format!("dispatch: {e}"))?;
         let _ = writer.flush();
-        self.stats.bytes_tx += payload_len;
+        self.stats.bytes_tx += payload_len as u64;
         Ok(())
     }
 
     fn handle_event(
         &mut self,
         ev: Event,
-        tasks: &[DistTask],
-        results: &mut [Option<(TaskResult, usize, u64)>],
+        tasks: &[Unit],
+        results: &mut [Option<Traced>],
         pending: &mut VecDeque<(usize, u32)>,
         done: &mut usize,
     ) -> Result<(), PoolError> {
         match ev {
-            Event::Msg { seat, gen, msg, rows } => {
+            Event::Msg { seat, gen, msg, results: task_results } => {
                 if self.slots[seat].gen != gen {
                     return Ok(()); // stale incarnation
                 }
                 match msg {
-                    WorkerMsg::TaskOk { id, output, micros: _, fetch_retries, fetch_bytes } => {
+                    WorkerMsg::TaskOk {
+                        id,
+                        outputs: _,
+                        micros: _,
+                        fetch_retries,
+                        fetch_bytes,
+                        fetch_requests,
+                    } => {
                         let matches_busy = matches!(
                             self.slots[seat].state,
                             SlotState::Busy { task, .. } if task == id as usize
@@ -1052,12 +1201,26 @@ impl WorkerPool {
                         self.slots[seat].consecutive_failures = 0;
                         self.stats.fetch_retries += fetch_retries;
                         self.stats.shuffle_bytes_fetched_remote += fetch_bytes;
+                        self.stats.fetch_requests += fetch_requests;
                         if results[task].is_some() {
                             return Ok(()); // duplicate of an already-recovered task
                         }
-                        let bytes = rows.as_ref().map(|r| r.len() as u64).unwrap_or(0);
-                        self.stats.bytes_rx += bytes;
-                        results[task] = Some((TaskResult { output, payload: rows }, seat, gen));
+                        let partitions = tasks[task].partitions();
+                        if task_results.len() != partitions {
+                            return Err(PoolError::TaskFailed {
+                                task,
+                                message: format!(
+                                    "answered {} outputs for {partitions} partitions",
+                                    task_results.len()
+                                ),
+                            });
+                        }
+                        self.stats.bytes_rx += task_results
+                            .iter()
+                            .filter_map(|r| r.payload.as_ref())
+                            .map(|p| p.len() as u64)
+                            .sum::<u64>();
+                        results[task] = Some((task_results, seat, gen));
                         *done += 1;
                         self.stats.tasks_completed += 1;
                     }
@@ -1101,13 +1264,12 @@ impl WorkerPool {
                     return Ok(()); // stale or already handled
                 }
                 // Reassigning work while an unfinished task still fetches
-                // the lost worker's outputs only feeds a job that cannot
-                // finish: stop it instead, so they are regenerated.
+                // the lost worker's outputs — for any of its partitions —
+                // only feeds a job that cannot finish: stop it instead, so
+                // they are regenerated.
                 let addr = format!("127.0.0.1:{}", self.slots[seat].shuffle_port);
                 let doomed = tasks.iter().zip(results.iter()).any(|(t, r)| {
-                    r.is_none()
-                        && matches!(&t.fragment.input, PlanInput::Fetch { sources }
-                            if sources.iter().any(|s| s.addr == addr))
+                    r.is_none() && t.fragment.input.sources().any(|s| s.addr == addr)
                 });
                 self.mark_down(seat, &reason, pending, doomed);
                 if doomed {
@@ -1308,23 +1470,26 @@ fn reader_loop(
                     heartbeats.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let rows = if matches!(&msg, WorkerMsg::TaskOk { output, .. } if output.has_payload())
-                {
-                    match recv_payload(&mut reader) {
-                        Ok(p) => Some(p),
+                // the count is untrusted: nothing is reserved for it
+                let outputs = match &msg {
+                    WorkerMsg::TaskOk { outputs, .. } => *outputs,
+                    _ => 0,
+                };
+                let mut results = Vec::new();
+                for _ in 0..outputs {
+                    match recv_result(&mut reader) {
+                        Ok(result) => results.push(result),
                         Err(e) => {
                             let _ = tx.send(Event::Gone {
                                 seat,
                                 gen,
-                                reason: format!("result payload: {e}"),
+                                reason: format!("task result: {e}"),
                             });
                             return;
                         }
                     }
-                } else {
-                    None
-                };
-                if tx.send(Event::Msg { seat, gen, msg, rows }).is_err() {
+                }
+                if tx.send(Event::Msg { seat, gen, msg, results }).is_err() {
                     return; // pool dropped
                 }
             }
@@ -1394,6 +1559,45 @@ mod tests {
         // ...and the late original can no longer clobber it
         assert!(!reg.register(7, entry(0, 0)));
         assert_eq!(reg.entries[&7].epoch, 1);
+    }
+
+    /// Checks the grouping contract over partitions weighing `rows + 1`:
+    /// contiguous, non-empty, covering, and exactly
+    /// `min(groups, partitions)` runs.
+    fn check_groups(rows: &[u64], groups: usize) -> Vec<std::ops::Range<usize>> {
+        let weights: Vec<u64> = rows.iter().map(|r| r + 1).collect();
+        let runs = balanced_runs(&weights, groups);
+        assert_eq!(runs.len(), groups.clamp(1, rows.len().max(1)).min(rows.len()), "{rows:?}");
+        let mut next = 0;
+        for run in &runs {
+            assert_eq!(run.start, next, "runs are adjacent: {runs:?}");
+            assert!(run.end > run.start, "no empty run: {runs:?}");
+            next = run.end;
+        }
+        assert_eq!(next, rows.len(), "runs cover every partition: {runs:?}");
+        runs
+    }
+
+    #[test]
+    fn partitions_group_into_one_balanced_run_per_seat() {
+        // even rows: an even split
+        assert_eq!(check_groups(&[10; 16], 2), vec![0..8, 8..16]);
+        assert_eq!(check_groups(&[10; 16], 4), vec![0..4, 4..8, 8..12, 12..16]);
+        // skew: the heavy partition gets a run nearly to itself
+        assert_eq!(check_groups(&[1, 1, 100, 1, 1, 1], 2), vec![0..3, 3..6]);
+        assert_eq!(check_groups(&[100, 1, 1, 1, 1, 1], 2), vec![0..1, 1..6]);
+        // empty partitions still spread by count
+        assert_eq!(check_groups(&[0; 8], 2), vec![0..4, 4..8]);
+        // more seats than partitions: one partition each
+        assert_eq!(check_groups(&[5, 0, 7], 8), vec![0..1, 1..2, 2..3]);
+        // one seat: one run
+        assert_eq!(check_groups(&[3, 4, 5], 1), vec![0..3]);
+        assert!(balanced_runs(&[], 3).is_empty());
+        // the contract holds for every split of awkward weights
+        let rows: Vec<u64> = (0..23u64).map(|i| (i * 7919) % 97).collect();
+        for groups in 1..=30 {
+            check_groups(&rows, groups);
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! Control messages ([`DriverMsg`], [`WorkerMsg`]) are JSON payloads.
 //! Row data never rides inside the JSON envelope: a task's inline input
-//! and a `Collect` result's rows each travel as their own *raw* frame
+//! and each `Collect` result's rows travel as their own *raw* frame
 //! immediately after the control frame that announces them (see
-//! [`DriverMsg::Task::has_payload`] and [`TaskOutput::has_payload`]),
+//! [`DriverMsg::Task::payloads`] and [`send_result`]),
 //! holding a binary [`encode_rows`](crate::plan::encode_rows) blob — the
 //! same bytes a peer fetch serves for a shuffle bucket. JSON keeps the
 //! small control protocol debuggable; the binary row codec keeps the
@@ -22,7 +22,7 @@
 //! fatal (fail-stop) so every transport fault funnels into the driver's
 //! single worker-loss recovery path.
 
-use crate::plan::{PlanFragment, TaskOutput};
+use crate::plan::{PlanFragment, TaskOutput, TaskResult};
 use crate::shuffle::FetchFailure;
 use crate::storage::{crc32, FRAME_HEADER_LEN, FRAME_MAGIC};
 use serde::{Deserialize, Serialize};
@@ -49,14 +49,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame, verifying magic and checksum. Returns `Ok(None)` on
-/// a clean EOF at a frame boundary (peer hung up).
+/// a clean EOF at a frame boundary (peer hung up); a stream that ends
+/// anywhere inside a frame, its length prefix included, is an error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -108,6 +113,28 @@ pub fn recv_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
     })
 }
 
+/// Writes one partition's task result: its [`TaskOutput`] as a message
+/// frame, then — when the output has one — its row payload as a raw
+/// frame. A worker answers each partition separately, so no frame holds
+/// more than one partition's output.
+pub fn send_result(w: &mut impl Write, result: &TaskResult) -> io::Result<()> {
+    send_msg(w, &result.output)?;
+    if result.output.has_payload() {
+        write_frame(w, result.payload.as_deref().unwrap_or_default())?;
+    }
+    Ok(())
+}
+
+/// Reads what [`send_result`] wrote. A peer that hangs up before it is
+/// a protocol error, not a clean EOF.
+pub fn recv_result(r: &mut impl Read) -> io::Result<TaskResult> {
+    let output: TaskOutput = recv_msg(r)?.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up before its task output")
+    })?;
+    let payload = if output.has_payload() { Some(recv_payload(r)?) } else { None };
+    Ok(TaskResult { output, payload })
+}
+
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -115,10 +142,15 @@ pub fn recv_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
 /// Driver → worker messages.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum DriverMsg {
-    /// Run a plan fragment. When `has_payload`, the task's inline input
-    /// rows follow as one raw frame. `attempt` counts reassignments of
-    /// the same logical task.
-    Task { id: u64, attempt: u32, fragment: PlanFragment, has_payload: bool },
+    /// Run a plan fragment over a list of partitions: an inline input
+    /// has one per payload — `payloads` raw frames of input rows follow
+    /// this one, and a plain task is a list of one — and a fetch input
+    /// lists one fetch list per partition. A shuffle sends each live
+    /// seat one map task covering a run of adjacent map tasks' inputs
+    /// and one reduce task covering a run of adjacent reduce
+    /// partitions. The worker answers with one output per partition, in
+    /// order. `attempt` counts reassignments of the same logical task.
+    Task { id: u64, attempt: u32, fragment: PlanFragment, payloads: u32 },
     /// Liveness probe; the worker echoes [`WorkerMsg::Pong`].
     Ping { seq: u64 },
     /// A shuffle stage ended: drop every bucket stored under
@@ -140,11 +172,20 @@ pub enum WorkerMsg {
     /// Periodic liveness push from the worker's heartbeat thread; also
     /// flows while a long task is executing.
     Heartbeat { busy: bool },
-    /// Task finished. When `output.has_payload()`, the row payload
-    /// follows as one raw frame. `fetch_retries`/`fetch_bytes` report
-    /// the task's remote-shuffle fetch effort so the driver can account
+    /// Task finished: `outputs` results follow, one per partition of the
+    /// task, in order, each written by [`send_result`]. `fetch_retries`,
+    /// `fetch_bytes` and `fetch_requests` report the task's
+    /// remote-shuffle fetch effort (bytes and requests only for what
+    /// crossed a socket, not local reads) so the driver can account
     /// retries and traffic even for tasks that ultimately succeeded.
-    TaskOk { id: u64, output: TaskOutput, micros: u64, fetch_retries: u64, fetch_bytes: u64 },
+    TaskOk {
+        id: u64,
+        outputs: u32,
+        micros: u64,
+        fetch_retries: u64,
+        fetch_bytes: u64,
+        fetch_requests: u64,
+    },
     /// Task failed on the worker (the worker itself stays healthy).
     /// When the failure was an exhausted remote bucket fetch, `fetch`
     /// carries the typed failure so the driver runs lost-map-output
@@ -174,7 +215,7 @@ mod tests {
                 ops: vec![],
                 sink: PlanSink::Count,
             },
-            has_payload: true,
+            payloads: 1,
         }
     }
 
@@ -233,10 +274,11 @@ mod tests {
             WorkerMsg::Pong { seq: 9 },
             WorkerMsg::TaskOk {
                 id: 3,
-                output: TaskOutput::Count(11),
+                outputs: 2,
                 micros: 55,
                 fetch_retries: 2,
                 fetch_bytes: 8192,
+                fetch_requests: 1,
             },
             WorkerMsg::TaskErr {
                 id: 4,
@@ -263,6 +305,87 @@ mod tests {
             send_msg(&mut buf, &msg).unwrap();
             let got: WorkerMsg = recv_msg(&mut Cursor::new(&buf)).unwrap().unwrap();
             assert_eq!(got, msg);
+        }
+    }
+
+    /// A reduce task covering three partitions, the last one empty.
+    fn grouped_task_msg() -> DriverMsg {
+        let source = |task: usize, part: usize| crate::shuffle::FetchSource {
+            addr: "127.0.0.1:40123".into(),
+            key: crate::plan::shuffle_bucket_key("sh", task, part),
+            epoch: 1,
+        };
+        DriverMsg::Task {
+            id: 1,
+            attempt: 0,
+            fragment: PlanFragment {
+                schema: "i64".into(),
+                input: PlanInput::Fetch {
+                    parts: vec![vec![source(0, 4), source(1, 4)], vec![source(1, 5)], vec![]],
+                },
+                ops: vec![],
+                sink: PlanSink::Count,
+            },
+            payloads: 0,
+        }
+    }
+
+    /// `payload` in one well-formed frame (a valid checksum), so the
+    /// message decoder — not the frame check — meets the bytes.
+    fn reframed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, payload).unwrap();
+        buf
+    }
+
+    #[test]
+    fn every_truncation_of_a_grouped_task_frame_is_a_typed_error() {
+        let mut buf = Vec::new();
+        send_msg(&mut buf, &grouped_task_msg()).unwrap();
+        let got: DriverMsg = recv_msg(&mut Cursor::new(&buf)).unwrap().unwrap();
+        assert_eq!(got, grouped_task_msg());
+        assert_eq!(got_sources(&got), 3);
+        // an empty stream is a clean hang-up; every other cut is an error
+        assert!(recv_msg::<DriverMsg>(&mut Cursor::new(&[])).unwrap().is_none());
+        for cut in 1..buf.len() {
+            let err = recv_msg::<DriverMsg>(&mut Cursor::new(&buf[..cut])).unwrap_err();
+            let kind = err.kind();
+            assert!(
+                matches!(kind, io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData),
+                "cut at {cut}: {err}"
+            );
+        }
+        // a truncated message inside an intact frame fails to decode
+        let payload = &buf[4 + FRAME_HEADER_LEN..];
+        for cut in 0..payload.len() {
+            let err = recv_msg::<DriverMsg>(&mut Cursor::new(reframed(&payload[..cut])));
+            assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn mangled_grouped_task_frames_never_panic() {
+        let mut buf = Vec::new();
+        send_msg(&mut buf, &grouped_task_msg()).unwrap();
+        let payload = buf[4 + FRAME_HEADER_LEN..].to_vec();
+        for i in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[i] ^= 0x20;
+            let _ = recv_msg::<DriverMsg>(&mut Cursor::new(&bad));
+        }
+        for i in 0..payload.len() {
+            for x in [0x01u8, 0x20, 0x80] {
+                let mut bad = payload.clone();
+                bad[i] ^= x;
+                let _ = recv_msg::<DriverMsg>(&mut Cursor::new(reframed(&bad)));
+            }
+        }
+    }
+
+    fn got_sources(msg: &DriverMsg) -> usize {
+        match msg {
+            DriverMsg::Task { fragment, .. } => fragment.input.sources().count(),
+            other => panic!("expected a task, got {other:?}"),
         }
     }
 

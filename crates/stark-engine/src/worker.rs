@@ -22,9 +22,9 @@ use crate::plan::{ExecEnv, PlanError, PlanFragment, SchemaExecutor, TaskResult};
 use crate::shuffle::{FetchConfig, ShuffleEnv};
 use crate::storage::ObjectStore;
 use crate::supervisor::HEARTBEAT_INTERVAL;
-use crate::transport::{recv_msg, recv_payload, send_msg, write_frame, DriverMsg, WorkerMsg};
+use crate::transport::{recv_msg, recv_payload, send_msg, send_result, DriverMsg, WorkerMsg};
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,15 +62,15 @@ impl WorkerRuntime {
     fn execute(
         &self,
         fragment: &PlanFragment,
-        payload: Option<&[u8]>,
+        payloads: &[&[u8]],
         env: &ExecEnv<'_>,
-    ) -> Result<TaskResult, PlanError> {
+    ) -> Result<Vec<TaskResult>, PlanError> {
         let exec =
             self.executors.get(&fragment.schema).ok_or_else(|| PlanError::SchemaMismatch {
                 expected: self.schemas().join(","),
                 got: fragment.schema.clone(),
             })?;
-        exec.execute_env(fragment, payload, env)
+        exec.execute_env(fragment, payloads, env)
     }
 
     /// Connects to the driver at `addr` (the connect is bounded by a
@@ -183,8 +183,14 @@ impl WorkerRuntime {
                     shuffle.release(&prefix);
                 }
                 DriverMsg::Drain => return Ok(()),
-                DriverMsg::Task { id, attempt: _, fragment, has_payload } => {
-                    let payload = if has_payload { Some(recv_payload(reader)?) } else { None };
+                DriverMsg::Task { id, attempt: _, fragment, payloads } => {
+                    // the count is untrusted: nothing is reserved for it,
+                    // and a peer that sends fewer frames fails the read
+                    let mut inputs = Vec::new();
+                    for _ in 0..payloads {
+                        inputs.push(recv_payload(reader)?);
+                    }
+                    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
                     busy.store(true, Ordering::Relaxed);
                     let started = Instant::now();
                     // A panicking op must not take the worker down with a
@@ -193,29 +199,32 @@ impl WorkerRuntime {
                     // *transport* faults, not task bugs).
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let env = ExecEnv { store, shuffle: Some(shuffle) };
-                        self.execute(&fragment, payload.as_deref(), &env)
+                        self.execute(&fragment, &inputs, &env)
                     }));
                     busy.store(false, Ordering::Relaxed);
                     let micros = started.elapsed().as_micros() as u64;
                     // drain this task's fetch effort exactly once so the
                     // driver's counters stay attributable per task
-                    let (fetch_retries, fetch_bytes) = shuffle.take_counters();
+                    let fetched = shuffle.take_counters();
+                    let fetch_retries = fetched.retries;
                     let reply = match outcome {
-                        Ok(Ok(result)) => {
-                            let mut w = writer.lock().unwrap();
-                            send_msg(
-                                &mut *w,
-                                &WorkerMsg::TaskOk {
-                                    id,
-                                    output: result.output.clone(),
-                                    micros,
-                                    fetch_retries,
-                                    fetch_bytes,
-                                },
-                            )?;
-                            if let Some(rows) = &result.payload {
-                                write_frame(&mut *w, rows)?;
+                        Ok(Ok(results)) => {
+                            // the answer and every partition's result in one
+                            // write, under one lock
+                            let mut frames = Vec::new();
+                            let ok = WorkerMsg::TaskOk {
+                                id,
+                                outputs: results.len() as u32,
+                                micros,
+                                fetch_retries,
+                                fetch_bytes: fetched.bytes,
+                                fetch_requests: fetched.requests,
+                            };
+                            send_msg(&mut frames, &ok)?;
+                            for result in &results {
+                                send_result(&mut frames, result)?;
                             }
+                            writer.lock().unwrap().write_all(&frames)?;
                             continue;
                         }
                         Ok(Err(e)) => {
@@ -299,8 +308,8 @@ pub fn run_from_args(
 mod tests {
     use super::*;
     use crate::plan::{encode_rows, int_registry, PlanInput, PlanSink, TaskOutput};
+    use crate::transport::{recv_result, write_frame};
     use serde_json::Value;
-    use std::io::Write as _;
     use std::net::TcpListener;
 
     fn int_runtime() -> WorkerRuntime {
@@ -363,14 +372,14 @@ mod tests {
             }],
             sink: PlanSink::Collect,
         };
-        send_msg(&mut w, &DriverMsg::Task { id: 1, attempt: 0, fragment, has_payload: true })
-            .unwrap();
+        send_msg(&mut w, &DriverMsg::Task { id: 1, attempt: 0, fragment, payloads: 1 }).unwrap();
         write_frame(&mut w, &encode_rows(&[1i64, 2, 3]).unwrap()).unwrap();
 
         match next_msg(&mut r) {
-            WorkerMsg::TaskOk { id: 1, output: TaskOutput::Rows { rows: 3, .. }, .. } => {
-                let payload = recv_payload(&mut r).unwrap();
-                let rows: Vec<i64> = crate::plan::decode_rows(&payload).unwrap();
+            WorkerMsg::TaskOk { id: 1, outputs: 1, .. } => {
+                let result = recv_result(&mut r).unwrap();
+                assert!(matches!(result.output, TaskOutput::Rows { rows: 3, .. }));
+                let rows: Vec<i64> = crate::plan::decode_rows(&result.payload.unwrap()).unwrap();
                 assert_eq!(rows, vec![11, 12, 13]);
             }
             other => panic!("expected TaskOk+rows, got {other:?}"),
@@ -425,8 +434,7 @@ mod tests {
             ops: vec![crate::plan::PlanOp::Map { op: "missing".into(), arg: Value::Null }],
             sink: PlanSink::Count,
         };
-        send_msg(&mut w, &DriverMsg::Task { id: 5, attempt: 0, fragment, has_payload: true })
-            .unwrap();
+        send_msg(&mut w, &DriverMsg::Task { id: 5, attempt: 0, fragment, payloads: 1 }).unwrap();
         write_frame(&mut w, &encode_rows(&[1i64]).unwrap()).unwrap();
         match next_msg(&mut r) {
             WorkerMsg::TaskErr { id: 5, retryable, message, .. } => {
@@ -442,11 +450,13 @@ mod tests {
             ops: vec![],
             sink: PlanSink::Count,
         };
-        send_msg(&mut w, &DriverMsg::Task { id: 6, attempt: 0, fragment: ok, has_payload: true })
+        send_msg(&mut w, &DriverMsg::Task { id: 6, attempt: 0, fragment: ok, payloads: 1 })
             .unwrap();
         write_frame(&mut w, &encode_rows(&[1i64, 2]).unwrap()).unwrap();
         match next_msg(&mut r) {
-            WorkerMsg::TaskOk { id: 6, output: TaskOutput::Count(2), .. } => {}
+            WorkerMsg::TaskOk { id: 6, outputs: 1, .. } => {
+                assert_eq!(recv_result(&mut r).unwrap().output, TaskOutput::Count(2));
+            }
             other => panic!("expected TaskOk count, got {other:?}"),
         }
         send_msg(&mut w, &DriverMsg::Drain).unwrap();
@@ -474,12 +484,12 @@ mod tests {
                     epoch: 0,
                 },
             };
-            send_msg(&mut w, &DriverMsg::Task { id, attempt: 0, fragment, has_payload: true })
-                .unwrap();
+            send_msg(&mut w, &DriverMsg::Task { id, attempt: 0, fragment, payloads: 1 }).unwrap();
             write_frame(&mut w, &encode_rows(&[1i64, 2, 3, 4]).unwrap()).unwrap();
             match next_msg(&mut r) {
-                WorkerMsg::TaskOk { output: TaskOutput::BucketCounts(counts), .. } => {
-                    assert_eq!(counts, vec![2, 2]);
+                WorkerMsg::TaskOk { outputs: 1, .. } => {
+                    let result = recv_result(&mut r).unwrap();
+                    assert_eq!(result.output, TaskOutput::BucketCounts(vec![2, 2]));
                 }
                 other => panic!("expected bucket counts, got {other:?}"),
             }

@@ -6,15 +6,19 @@
 //! equals the number of injected faults (a rule's `attempts = 1` gate
 //! means a reassigned attempt is never struck again).
 
+use stark::distributed::EventRow;
+use stark::{GridPartitioner, SpatialPartitioner};
 use stark_engine::plan::{
     decode_rows, encode_rows, int_arg, int_registry, shuffle_bucket_key, PlanFragment, PlanInput,
     PlanOp, PlanSink, TaskOutput,
 };
 use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    Fault, FaultPlan, FaultRule, FetchConfig, Scope, ShuffleEnv, ShuffleMode, ShuffleSpec,
-    TaskResult, WorkerPool, WorkerPoolConfig,
+    Fault, FaultPlan, FaultRule, FetchConfig, PoolStats, Scope, ShuffleEnv, ShuffleMode,
+    ShuffleSpec, TaskResult, WorkerPool, WorkerPoolConfig,
 };
+use stark_eventsim::EventGenerator;
+use stark_geo::Envelope;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -479,5 +483,208 @@ fn unknown_op_fails_the_task_without_killing_the_worker() {
     // The pool is still serviceable after the failed job.
     let ok = pool.execute(&[add_even_task(&[1, 2, 3, 4], 0)]).unwrap();
     assert_eq!(collected_rows(&ok[0]), vec![2, 4]);
+    pool.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Grouped reduce: one task per seat, local reads, one request per peer
+// ---------------------------------------------------------------------------
+
+/// Stats accumulated since `before`.
+fn stats_since(pool: &WorkerPool, before: &PoolStats) -> PoolStats {
+    let s = pool.stats();
+    PoolStats {
+        tasks_dispatched: s.tasks_dispatched - before.tasks_dispatched,
+        fetch_requests: s.fetch_requests - before.fetch_requests,
+        fetch_retries: s.fetch_retries - before.fetch_retries,
+        shuffle_bytes_fetched_remote: s.shuffle_bytes_fetched_remote
+            - before.shuffle_bytes_fetched_remote,
+        ..s
+    }
+}
+
+/// 800 uniform events (every map chunk has rows in every cell) and the
+/// 4×4 grid over them: 16 reduce partitions.
+fn grid_events() -> (Vec<EventRow>, GridPartitioner) {
+    let space = Envelope::from_bounds(0.0, 0.0, 1000.0, 1000.0);
+    let rows: Vec<EventRow> = EventGenerator::new(0x51A7)
+        .uniform_points(800, &space)
+        .iter()
+        .map(|e| e.to_pair())
+        .collect();
+    let summary: stark::DataSummary =
+        rows.iter().map(|(o, _)| (o.envelope(), o.centroid())).collect();
+    (rows, GridPartitioner::build(4, &summary))
+}
+
+fn event_chunks(rows: &[EventRow], tasks: usize) -> Vec<&[EventRow]> {
+    rows.chunks(rows.len().div_ceil(tasks)).collect()
+}
+
+fn grid_shuffle_spec(grid: &GridPartitioner, prefix: &str) -> ShuffleSpec {
+    ShuffleSpec {
+        mode: ShuffleMode::Remote,
+        partitioner: "grid".into(),
+        partitioner_arg: stark::distributed::to_arg(grid),
+        num_partitions: grid.num_partitions(),
+        prefix: prefix.into(),
+        reduce_ops: Vec::new(),
+        reduce_sink: PlanSink::Collect,
+    }
+}
+
+#[test]
+fn a_shuffle_runs_one_reduce_task_per_seat_and_one_request_per_peer() {
+    let (rows, grid) = grid_events();
+    assert_eq!(grid.num_partitions(), 16);
+    let chunks = event_chunks(&rows, 4);
+    let maps: Vec<DistTask> = chunks
+        .iter()
+        .map(|chunk| {
+            let fragment = PlanFragment {
+                schema: "event".into(),
+                input: PlanInput::Inline,
+                ops: Vec::new(),
+                sink: PlanSink::Collect, // replaced by run_shuffle
+            };
+            DistTask::with_rows(fragment, encode_rows(chunk).unwrap())
+        })
+        .collect();
+    // the in-process plan: rows routed per cell in map-task order, and
+    // the bytes of every bucket the map tasks write
+    let mut cells: Vec<Vec<EventRow>> = vec![Vec::new(); 16];
+    let mut bucket_bytes = 0u64;
+    for chunk in &chunks {
+        let mut buckets: Vec<Vec<EventRow>> = vec![Vec::new(); 16];
+        for row in *chunk {
+            buckets[grid.partition_of(&row.0)].push(row.clone());
+        }
+        for (cell, bucket) in cells.iter_mut().zip(buckets) {
+            assert!(!bucket.is_empty(), "uniform chunks reach every cell");
+            bucket_bytes += encode_rows(&bucket).unwrap().len() as u64;
+            cell.extend(bucket);
+        }
+    }
+    let reference: Vec<Vec<u8>> = cells.iter().map(|c| encode_rows(c).unwrap()).collect();
+
+    let mut pool = WorkerPool::spawn(pool_config(2)).unwrap();
+    // two shuffles, as one `dist` op runs (A1 then F4)
+    for prefix in ["cnt/a1", "cnt/f4"] {
+        let before = pool.stats();
+        let results = pool.run_shuffle(&maps, &grid_shuffle_spec(&grid, prefix)).unwrap();
+        let d = stats_since(&pool, &before);
+        let payloads: Vec<Vec<u8>> = results.into_iter().map(|r| r.payload.unwrap()).collect();
+        assert_eq!(payloads, reference, "{prefix}: byte-identical to the in-process plan");
+        let seats = pool.live_workers() as u64;
+        assert_eq!(seats, 2);
+        assert_eq!(
+            d.tasks_dispatched,
+            2 * seats,
+            "{prefix}: one map task and one reduce task per live seat"
+        );
+        assert!(d.fetch_requests <= 2, "{prefix}: {} requests for 2 groups", d.fetch_requests);
+        assert!(
+            d.shuffle_bytes_fetched_remote > 0 && d.shuffle_bytes_fetched_remote < bucket_bytes,
+            "{prefix}: {} of {bucket_bytes} bucket bytes crossed a socket; each seat reads its own",
+            d.shuffle_bytes_fetched_remote
+        );
+        assert_eq!(d.fetch_retries, 0);
+    }
+    pool.shutdown();
+}
+
+/// `(x + 1) mod 16` over four uniform map tasks: every map output has a
+/// bucket for every partition, and two seats split the partitions
+/// 0..8 / 8..16.
+fn sixteen_way_spec(prefix: &str) -> ShuffleSpec {
+    ShuffleSpec {
+        partitioner_arg: int_arg("parts", 16),
+        num_partitions: 16,
+        ..shuffle_spec(prefix)
+    }
+}
+
+fn sixteen_way_inputs() -> Vec<Vec<i64>> {
+    (0..4).map(|t| (t * 64..t * 64 + 64).collect()).collect()
+}
+
+#[test]
+fn a_tear_of_the_second_bucket_in_a_response_resumes_with_one_retry_per_strike() {
+    let inputs = sixteen_way_inputs();
+    let map_tasks = shuffle_map_tasks(&inputs);
+    let spec = sixteen_way_spec("rs/second");
+    let reference = in_process_shuffle(&map_tasks, &spec);
+
+    // Partition 1's buckets come after partition 0's in every answer —
+    // the peer's response and the reducer's own local read alike — and
+    // only the 0..8 group reads them. Each of the two processes strikes
+    // its first one: two torn buckets, each the second or later of its
+    // answer.
+    let mut cfg = pool_config(2);
+    let rule = FaultRule::new(Fault::DropBucket, Scope::Key("bucket-00001".into()));
+    cfg.faults = Some(Arc::new(FaultPlan::new(0, vec![FaultRule { strikes: Some(1), ..rule }])));
+    let mut pool = WorkerPool::spawn(cfg).unwrap();
+    let results = pool.run_shuffle(&map_tasks, &spec).unwrap();
+
+    assert_eq!(results, reference, "resumed buckets must be byte-identical");
+    let stats = pool.stats();
+    assert_eq!(stats.fetch_retries, 2, "one retry per struck bucket, one strike per process");
+    assert_eq!(stats.fetch_requests, 3, "one request per group, plus the torn one's resume");
+    assert_eq!(stats.fetch_failures, 0);
+    assert_eq!(stats.workers_lost, 0);
+    pool.shutdown();
+}
+
+#[test]
+fn a_fault_struck_on_a_local_read_costs_exactly_one_retry() {
+    let inputs = shuffle_inputs();
+    let map_tasks = shuffle_map_tasks(&inputs);
+    let spec = shuffle_spec("rs/local");
+    let reference = in_process_shuffle(&map_tasks, &spec);
+    // one seat: the reducer reads every bucket from its own memory
+    for fault in [Fault::RefuseFetch, Fault::CorruptBucket] {
+        let mut cfg = pool_config(1);
+        cfg.faults = Some(Arc::new(FaultPlan::once(fault)));
+        let mut pool = WorkerPool::spawn(cfg).unwrap();
+        let results = pool.run_shuffle(&map_tasks, &spec).unwrap();
+        assert_eq!(results, reference, "{fault:?}");
+        let stats = pool.stats();
+        assert_eq!(stats.fetch_retries, 1, "{fault:?}: one strike, one retry");
+        assert_eq!(stats.fetch_requests, 0, "{fault:?}: no socket request");
+        assert_eq!(stats.shuffle_bytes_fetched_remote, 0, "{fault:?}: no socket bytes");
+        assert_eq!((stats.fetch_failures, stats.workers_lost), (0, 0), "{fault:?}");
+        pool.shutdown();
+    }
+}
+
+#[test]
+fn a_kill_struck_on_a_local_read_recovers_through_producer_lost() {
+    let inputs = shuffle_inputs();
+    let map_tasks = shuffle_map_tasks(&inputs);
+    let spec = shuffle_spec("rs/local-kill");
+    let reference = in_process_shuffle(&map_tasks, &spec);
+
+    // One seat is producer and reducer at once: its local read of a
+    // task-0 bucket kills it. The round ends as ProducerLost (its own
+    // group fetches from it), the seat respawns, and lineage re-produces
+    // every output at epoch 1, past the rule's gate.
+    let mut cfg = pool_config(1);
+    let kill = FaultRule::once(Fault::KillServingWorker);
+    let kill = FaultRule { scope: Scope::Key("task-00000/".into()), ..kill };
+    cfg.faults = Some(Arc::new(FaultPlan::new(0, vec![kill])));
+    cfg.respawn_backoff = Duration::from_millis(10);
+    let mut pool = WorkerPool::spawn(cfg).unwrap();
+    let results = pool.run_shuffle(&map_tasks, &spec).unwrap();
+
+    assert_eq!(results, reference, "recovery must be invisible in the results");
+    let stats = pool.stats();
+    assert_eq!(stats.workers_lost, 1);
+    assert_eq!(stats.tasks_reassigned, 0, "a doomed reduce is regenerated, not reassigned");
+    assert_eq!(stats.map_outputs_lost, map_tasks.len() as u64, "the one seat held them all");
+    assert_eq!(
+        stats.map_outputs_regenerated, stats.map_outputs_lost,
+        "every lost output is regenerated exactly once"
+    );
+    assert_eq!(pool.shuffle_epoch("rs/local-kill"), Some(1));
     pool.shutdown();
 }
