@@ -4,35 +4,53 @@
 //! partition tree when the data changes. A micro-batch stream cannot
 //! afford that: each batch touches only the partitions its events fall
 //! into, so only those trees need rebuilding. [`IncrementalIndex`] keeps
-//! one record buffer + STR-tree per partitioner cell, tracks which
-//! partitions a batch dirtied, and rebuilds trees lazily on
-//! [`IncrementalIndex::refresh`] — the streaming layer calls it once per
-//! micro-batch.
+//! its records in one [`RecordSlab`] and, per partitioner cell, an
+//! STR-tree over the slot ids of that cell's records plus a list of the
+//! slots inserted since the tree was built. The streaming layer calls
+//! [`IncrementalIndex::refresh`] once per micro-batch.
 //!
-//! Queries are always exact regardless of refresh schedule: a clean
-//! partition is probed through its tree, a dirty one falls back to a
-//! linear scan of its buffer. Partition pruning reuses the same
-//! bounds/extent machinery as the batch path ([`STPredicate`'s
-//! `partition_may_match` tests), with extents fitted to the records
-//! actually inserted — sound even for records outside the partitioner's
-//! build sample.
+//! **Removal** ([`IncrementalIndex::remove_batch`]) lets the streaming
+//! IVM layer retract records when a window expires or an upstream
+//! correction arrives. A remove finds one record equal to the requested
+//! `(object, value)` pair through the slab's key lookup and frees its
+//! slot: O(1) expected, with no search of the partition and no change
+//! to its tree. The tree entry stays behind as a *tombstone*: its slot
+//! id no longer resolves (the slot's generation moved on), so probes
+//! skip it. Removing a record that was never inserted (or was already
+//! removed) is a counted no-op, so retractions of shed or quarantined
+//! records are safe. A record with a NaN coordinate equals nothing and
+//! so can never be removed.
 //!
-//! The index also supports **removal** ([`IncrementalIndex::remove_batch`])
-//! so the streaming IVM layer can retract records when a window expires
-//! or an upstream correction arrives: a remove takes out one record
-//! equal to the requested `(object, value)` pair, re-fits the touched
-//! partition's extents, and marks it dirty like an insert. Removing a
-//! record that was never inserted (or was already removed) is a counted
-//! no-op, so retractions of shed or quarantined records are safe.
+//! Queries are exact whatever the refresh schedule: a partition is
+//! probed through its tree (skipping tombstones) and its not-yet-indexed
+//! slots are scanned linearly. Partition pruning reuses the batch path's
+//! bounds/extent machinery ([`STPredicate`]'s `partition_may_match`
+//! tests), with extents fitted to the records actually inserted — sound
+//! even for records outside the partitioner's build sample. An insert
+//! widens its partition's extents at once; a remove leaves them as an
+//! upper bound (still sound) until the next refresh re-fits them.
+//!
+//! [`IncrementalIndex::refresh`] rebuilds a partition's tree only if
+//! the partition gained records since its tree was built, or if more
+//! than [`MAX_DEAD_FRACTION`] of its entries are tombstones. A partition
+//! whose records are all gone drops its tree without a rebuild. Every
+//! partition that lost records gets its extents re-fitted, once, so
+//! after a refresh pruning is as tight as on a fresh build.
 
 use crate::partitioner::SpatialPartitioner;
 use crate::predicate::STPredicate;
+use crate::slab::{RecordSlab, SlotId};
 use crate::stobject::STObject;
 use crate::temporal::TemporalExtent;
 use stark_engine::Data;
 use stark_geo::{DistanceFn, Envelope};
 use stark_index::{Entry, StrTree};
+use std::borrow::Borrow;
 use std::sync::Arc;
+
+/// Share of a partition's indexed entries that may be tombstones before
+/// [`IncrementalIndex::refresh`] rebuilds its tree to drop them.
+pub const MAX_DEAD_FRACTION: f64 = 0.5;
 
 /// Counters describing the work an [`IncrementalIndex`] has done.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,27 +71,67 @@ pub struct RemoveOutcome {
     /// Requested removals with no matching record (already removed,
     /// never inserted, or shed upstream) — no-ops.
     pub missing: usize,
-    /// Distinct partitions whose buffer changed.
+    /// Distinct partitions that lost a record.
     pub partitions_touched: usize,
 }
 
-/// Cached tree for one partition; `None` until first refresh.
-type PartitionTree<V> = Option<Arc<StrTree<(STObject, V)>>>;
+/// One partitioner cell's share of the index.
+struct Part {
+    /// Tree over the slots live when it was built; `None` until the
+    /// partition's first rebuild. Its entries may be tombstones.
+    tree: Option<StrTree<SlotId>>,
+    /// Slots inserted since the tree was built, not yet in it.
+    pending: Vec<Entry<SlotId>>,
+    /// Entries of `tree` and `pending` whose record was removed.
+    dead: usize,
+    /// Lost records since its extents were last fitted.
+    shrunk: bool,
+    /// Spatial extent: fitted to the live records at the last refresh,
+    /// widened by every insert since.
+    extent: Envelope,
+    /// Temporal extent, maintained like `extent`.
+    time_extent: TemporalExtent,
+}
 
-/// Per-partition STR-trees with dirty tracking, for streaming updates.
+impl Part {
+    fn new() -> Self {
+        Part {
+            tree: None,
+            pending: Vec::new(),
+            dead: 0,
+            shrunk: false,
+            extent: Envelope::empty(),
+            time_extent: TemporalExtent::empty(),
+        }
+    }
+
+    fn entries(&self) -> usize {
+        self.tree.as_ref().map_or(0, |t| t.len()) + self.pending.len()
+    }
+
+    fn live(&self) -> usize {
+        self.entries() - self.dead
+    }
+
+    /// Whether the next refresh builds this partition's tree.
+    fn needs_build(&self) -> bool {
+        self.live() > 0
+            && (!self.pending.is_empty()
+                || self.dead as f64 > MAX_DEAD_FRACTION * self.entries() as f64)
+    }
+
+    /// Every entry, tombstones included: the tree's, then the pending ones.
+    fn all_entries(&self) -> impl Iterator<Item = &Entry<SlotId>> {
+        self.tree.iter().flat_map(|t| t.iter()).chain(&self.pending)
+    }
+}
+
+/// Per-partition STR-trees over a slab of records, for streaming updates.
 pub struct IncrementalIndex<V: Data> {
     partitioner: Arc<dyn SpatialPartitioner>,
     order: usize,
-    /// Record buffers, one per partitioner cell.
-    records: Vec<Vec<(STObject, V)>>,
-    /// Cached tree per partition; `None` until first refresh.
-    trees: Vec<PartitionTree<V>>,
-    /// Partitions whose buffer changed since their tree was built.
-    dirty: Vec<bool>,
-    /// Spatial extent fitted to the records actually inserted.
-    extents: Vec<Envelope>,
-    /// Temporal extent fitted to the records actually inserted.
-    time_extents: Vec<TemporalExtent>,
+    records: RecordSlab<V>,
+    parts: Vec<Part>,
     stats: RefreshStats,
 }
 
@@ -84,28 +142,25 @@ impl<V: Data> IncrementalIndex<V> {
         IncrementalIndex {
             partitioner,
             order,
-            records: vec![Vec::new(); n],
-            trees: vec![None; n],
-            dirty: vec![false; n],
-            extents: vec![Envelope::empty(); n],
-            time_extents: vec![TemporalExtent::empty(); n],
+            records: RecordSlab::new(),
+            parts: (0..n).map(|_| Part::new()).collect(),
             stats: RefreshStats::default(),
         }
     }
 
     /// Number of partitions (= partitioner cells).
     pub fn num_partitions(&self) -> usize {
-        self.records.len()
+        self.parts.len()
     }
 
     /// Total records indexed.
     pub fn len(&self) -> usize {
-        self.stats.records
+        self.records.len()
     }
 
     /// Whether the index holds no records.
     pub fn is_empty(&self) -> bool {
-        self.stats.records == 0
+        self.records.is_empty()
     }
 
     /// The STR-tree order used for rebuilt partitions.
@@ -115,107 +170,116 @@ impl<V: Data> IncrementalIndex<V> {
 
     /// Lifetime work counters.
     pub fn stats(&self) -> RefreshStats {
-        self.stats
+        RefreshStats { records: self.records.len(), ..self.stats }
     }
 
-    /// Indices of partitions currently awaiting a rebuild.
+    /// Indices of partitions whose tree the next refresh rebuilds.
     pub fn dirty_partitions(&self) -> Vec<usize> {
-        (0..self.dirty.len()).filter(|&i| self.dirty[i]).collect()
+        (0..self.parts.len()).filter(|&p| self.parts[p].needs_build()).collect()
     }
 
-    /// Routes each record to its partition, marking touched partitions
-    /// dirty. Returns the number of distinct partitions touched.
+    fn partition_of(&self, obj: &STObject) -> usize {
+        self.partitioner.partition_for_centroid(&obj.centroid()).min(self.parts.len() - 1)
+    }
+
+    /// Routes each record to its partition, widening the partition's
+    /// extents. Returns the number of distinct partitions touched.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = (STObject, V)>) -> usize {
-        let mut touched = 0usize;
+        let mut touched = vec![false; self.parts.len()];
         for (obj, value) in batch {
-            let p = self
-                .partitioner
-                .partition_for_centroid(&obj.centroid())
-                .min(self.records.len() - 1);
-            if !self.dirty[p] {
-                self.dirty[p] = true;
-                touched += 1;
-            }
-            self.extents[p].expand_to_include_envelope(&obj.envelope());
-            self.time_extents[p].expand(obj.time());
-            self.records[p].push((obj, value));
-            self.stats.records += 1;
+            let p = self.partition_of(&obj);
+            touched[p] = true;
+            let envelope = obj.envelope();
+            let part = &mut self.parts[p];
+            part.extent.expand_to_include_envelope(&envelope);
+            part.time_extent.expand(obj.time());
+            let id = self.records.insert(obj, value);
+            part.pending.push(Entry::new(envelope, id));
         }
-        touched
+        touched.into_iter().filter(|t| *t).count()
     }
 
-    /// Removes one record equal to each requested `(object, value)` pair,
-    /// routing by centroid exactly like [`Self::insert_batch`] so a
-    /// record is always removed from the partition it was inserted into.
-    /// Touched partitions are marked dirty (their tree rebuilds on the
-    /// next [`Self::refresh`]) and their extents are re-fitted to the
-    /// surviving records, so pruning stays tight after retraction. A
-    /// request with no matching record — a duplicate remove, or a
-    /// retraction of a record that was shed before insertion — is a
-    /// counted no-op.
-    pub fn remove_batch(&mut self, batch: impl IntoIterator<Item = (STObject, V)>) -> RemoveOutcome
+    /// Removes one record equal to `(obj, value)`; returns whether one
+    /// was found. O(1) expected: the record's slot is freed and its tree
+    /// entry becomes a tombstone. Extents are re-fitted by the next
+    /// [`Self::refresh`].
+    pub fn remove(&mut self, obj: &STObject, value: &V) -> bool
+    where
+        V: PartialEq,
+    {
+        self.take(obj, value).is_some()
+    }
+
+    /// [`Self::remove`], returning the partition the record left.
+    fn take(&mut self, obj: &STObject, value: &V) -> Option<usize>
+    where
+        V: PartialEq,
+    {
+        // routed by the stored object, exactly as its insert was
+        let (stored, _) = self.records.take(obj, value)?;
+        let p = self.partition_of(&stored);
+        let part = &mut self.parts[p];
+        part.dead += 1;
+        part.shrunk = true;
+        Some(p)
+    }
+
+    /// Removes one record equal to each requested `(object, value)`
+    /// pair (see [`Self::remove`]). A request with no matching record —
+    /// a duplicate remove, or a retraction of a record that was shed
+    /// before insertion — is a counted no-op.
+    pub fn remove_batch<R: Borrow<(STObject, V)>>(
+        &mut self,
+        batch: impl IntoIterator<Item = R>,
+    ) -> RemoveOutcome
     where
         V: PartialEq,
     {
         let mut outcome = RemoveOutcome::default();
-        let mut touched = vec![false; self.records.len()];
-        for (obj, value) in batch {
-            let p = self
-                .partitioner
-                .partition_for_centroid(&obj.centroid())
-                .min(self.records.len() - 1);
-            match self.records[p].iter().position(|(o, v)| *o == obj && *v == value) {
-                Some(i) => {
-                    self.records[p].remove(i);
-                    self.stats.records -= 1;
+        let mut touched = vec![false; self.parts.len()];
+        for request in batch {
+            let (obj, value) = request.borrow();
+            match self.take(obj, value) {
+                Some(p) => {
                     outcome.removed += 1;
-                    if !touched[p] {
-                        touched[p] = true;
-                        outcome.partitions_touched += 1;
-                    }
-                    self.dirty[p] = true;
+                    touched[p] = true;
                 }
                 None => outcome.missing += 1,
             }
         }
-        for (p, t) in touched.into_iter().enumerate() {
-            if t {
-                self.refit_extents(p);
-            }
-        }
+        outcome.partitions_touched = touched.into_iter().filter(|t| *t).count();
         outcome
     }
 
-    /// Re-fits partition `p`'s spatial and temporal extents to the
-    /// records it still holds (removal can only shrink them).
-    fn refit_extents(&mut self, p: usize) {
-        let mut extent = Envelope::empty();
-        let mut time_extent = TemporalExtent::empty();
-        for (o, _) in &self.records[p] {
-            extent.expand_to_include_envelope(&o.envelope());
-            time_extent.expand(o.time());
-        }
-        self.extents[p] = extent;
-        self.time_extents[p] = time_extent;
-    }
-
-    /// Rebuilds the STR-tree of every dirty partition (and only those).
-    /// Returns the number of trees rebuilt.
+    /// Brings every partition up to date: rebuilds the tree of each one
+    /// that gained records or passed [`MAX_DEAD_FRACTION`] tombstones,
+    /// drops the tree of each one left empty, and re-fits the extents of
+    /// each one that lost records. Returns the number of trees rebuilt.
     pub fn refresh(&mut self) -> usize {
         let mut rebuilt = 0usize;
-        for p in 0..self.records.len() {
-            if !self.dirty[p] {
-                if self.trees[p].is_some() {
-                    self.stats.rebuilds_skipped += 1;
+        let records = &self.records;
+        for part in &mut self.parts {
+            if part.live() == 0 {
+                if part.entries() > 0 {
+                    *part = Part::new();
                 }
                 continue;
             }
-            let entries: Vec<Entry<(STObject, V)>> = self.records[p]
-                .iter()
-                .map(|(o, v)| Entry::new(o.envelope(), (o.clone(), v.clone())))
-                .collect();
-            self.trees[p] = Some(Arc::new(StrTree::build(self.order, entries)));
-            self.dirty[p] = false;
+            if part.shrunk {
+                let (extent, time_extent) = fit(part.all_entries(), records);
+                part.extent = extent;
+                part.time_extent = time_extent;
+                part.shrunk = false;
+            }
+            if !part.needs_build() {
+                self.stats.rebuilds_skipped += u64::from(part.tree.is_some());
+                continue;
+            }
+            let live: Vec<Entry<SlotId>> =
+                part.all_entries().filter(|e| records.contains(e.item)).cloned().collect();
+            part.tree = Some(StrTree::build(self.order, live));
+            part.pending.clear();
+            part.dead = 0;
             rebuilt += 1;
         }
         self.stats.rebuilds += rebuilt as u64;
@@ -223,42 +287,43 @@ impl<V: Data> IncrementalIndex<V> {
     }
 
     /// Partition mask for `pred(e, query)`: `true` = must be scanned.
-    fn mask_for(&self, pred: &STPredicate, query: &STObject) -> Vec<bool> {
-        (0..self.records.len())
-            .map(|p| {
-                pred.partition_may_match(&self.extents[p], query)
-                    && pred.partition_may_match_temporal(&self.time_extents[p], query)
-            })
-            .collect()
+    /// A match's envelope meets the index probe (the trees rely on that
+    /// too), so the cheap extent-vs-probe test runs first.
+    fn mask_for<'a>(
+        &'a self,
+        pred: &'a STPredicate,
+        query: &'a STObject,
+    ) -> impl Iterator<Item = bool> + 'a {
+        let probe = pred.index_probe(query);
+        self.parts.iter().map(move |part| {
+            part.extent.intersects(&probe)
+                && pred.partition_may_match(&part.extent, query)
+                && pred.partition_may_match_temporal(&part.time_extent, query)
+        })
     }
 
-    /// Exact filter: extent-pruned, tree-probed where clean, linear where
-    /// dirty. Returns matching records in partition order.
+    /// Exact filter: extent-pruned, tree-probed for indexed slots,
+    /// linear over slots inserted since the last rebuild. Returns
+    /// matching records in partition order.
     pub fn filter(&self, query: &STObject, pred: STPredicate) -> Vec<(STObject, V)> {
-        let mask = self.mask_for(&pred, query);
         let probe = pred.index_probe(query);
         let mut out = Vec::new();
-        for (p, keep) in mask.iter().enumerate() {
-            if !keep {
+        let mut keep = |id: SlotId| {
+            if let Some((o, v)) = self.records.get(id) {
+                if pred.eval(o, query) {
+                    out.push((o.clone(), v.clone()));
+                }
+            }
+        };
+        for (part, scan) in self.parts.iter().zip(self.mask_for(&pred, query)) {
+            if !scan {
                 continue;
             }
-            match (&self.trees[p], self.dirty[p]) {
-                (Some(tree), false) => {
-                    tree.for_each_candidate(&probe, &mut |entry| {
-                        let (o, v) = &entry.item;
-                        if pred.eval(o, query) {
-                            out.push((o.clone(), v.clone()));
-                        }
-                    });
-                }
-                // dirty (or never refreshed): exact linear scan
-                _ => {
-                    for (o, v) in &self.records[p] {
-                        if pred.eval(o, query) {
-                            out.push((o.clone(), v.clone()));
-                        }
-                    }
-                }
+            if let Some(tree) = &part.tree {
+                tree.for_each_candidate(&probe, &mut |entry| keep(entry.item));
+            }
+            for entry in &part.pending {
+                keep(entry.item);
             }
         }
         out
@@ -266,12 +331,14 @@ impl<V: Data> IncrementalIndex<V> {
 
     /// Number of partitions the filter for `query` would scan.
     pub fn partitions_scanned(&self, query: &STObject, pred: &STPredicate) -> usize {
-        self.mask_for(pred, query).into_iter().filter(|m| *m).count()
+        self.mask_for(pred, query).filter(|m| *m).count()
     }
 
-    /// Exact k-nearest-neighbour search. Clean partitions are probed
-    /// through the tree with an enlarging fetch (envelope distance lower
-    /// bounds Euclidean distance); dirty ones are scanned linearly.
+    /// Exact k-nearest-neighbour search. Trees are probed with an
+    /// enlarging fetch (envelope distance lower-bounds Euclidean
+    /// distance; tombstones are fetched but not kept); slots not yet in
+    /// a tree, and every slot under a non-Euclidean distance, are
+    /// scanned linearly.
     pub fn knn(
         &self,
         query: &STObject,
@@ -283,39 +350,36 @@ impl<V: Data> IncrementalIndex<V> {
         }
         let target = query.centroid();
         let sound_bound = matches!(dist_fn, DistanceFn::Euclidean);
-        let mut merged: Vec<(f64, (STObject, V))> = Vec::new();
-        for p in 0..self.records.len() {
-            match (&self.trees[p], self.dirty[p]) {
-                (Some(tree), false) if sound_bound => {
+        let scored =
+            |id: SlotId| self.records.get(id).map(|(o, v)| (o.distance(query, dist_fn), (o, v)));
+        let mut merged: Vec<(f64, (&STObject, &V))> = Vec::new();
+        for part in &self.parts {
+            match &part.tree {
+                Some(tree) if sound_bound => {
                     let mut fetch = (k * 4).max(32).min(tree.len());
                     loop {
                         let candidates = tree.nearest_k(&target, fetch);
-                        let mut exact: Vec<(f64, &Entry<(STObject, V)>)> = candidates
-                            .iter()
-                            .map(|(_, e)| (e.item.0.distance(query, dist_fn), *e))
-                            .collect();
+                        let mut exact: Vec<_> =
+                            candidates.iter().filter_map(|(_, e)| scored(e.item)).collect();
                         exact.sort_by(|a, b| a.0.total_cmp(&b.0));
                         exact.truncate(k);
                         let kth = exact.last().map(|(d, _)| *d).unwrap_or(f64::INFINITY);
                         let frontier =
                             candidates.last().map(|(lb, _)| *lb).unwrap_or(f64::INFINITY);
                         if fetch >= tree.len() || (exact.len() == k && frontier >= kth) {
-                            merged.extend(exact.into_iter().map(|(d, e)| (d, e.item.clone())));
+                            merged.extend(exact);
                             break;
                         }
                         fetch = (fetch * 2).min(tree.len().max(1));
                     }
+                    merged.extend(part.pending.iter().filter_map(|e| scored(e.item)));
                 }
-                _ => {
-                    for (o, v) in &self.records[p] {
-                        merged.push((o.distance(query, dist_fn), (o.clone(), v.clone())));
-                    }
-                }
+                _ => merged.extend(part.all_entries().filter_map(|e| scored(e.item))),
             }
         }
         merged.sort_by(|a, b| a.0.total_cmp(&b.0));
         merged.truncate(k);
-        merged
+        merged.into_iter().map(|(d, (o, v))| (d, (o.clone(), v.clone()))).collect()
     }
 
     /// Convenience: filter with a `WithinDistance` predicate.
@@ -327,6 +391,22 @@ impl<V: Data> IncrementalIndex<V> {
     ) -> Vec<(STObject, V)> {
         self.filter(query, STPredicate::WithinDistance { max_dist, dist_fn })
     }
+}
+
+/// Extents of the live records among `entries`.
+fn fit<'a, V: 'a>(
+    entries: impl Iterator<Item = &'a Entry<SlotId>>,
+    records: &RecordSlab<V>,
+) -> (Envelope, TemporalExtent) {
+    let mut extent = Envelope::empty();
+    let mut time_extent = TemporalExtent::empty();
+    for e in entries {
+        if let Some((o, _)) = records.get(e.item) {
+            extent.expand_to_include_envelope(&e.envelope);
+            time_extent.expand(o.time());
+        }
+    }
+    (extent, time_extent)
 }
 
 #[cfg(test)]
@@ -621,5 +701,154 @@ mod tests {
         .unwrap();
         assert_eq!(idx.partitions_scanned(&future, &STPredicate::Intersects), 0);
         assert!(idx.filter(&future, STPredicate::Intersects).is_empty());
+    }
+
+    #[test]
+    fn tombstones_are_rebuilt_away_only_past_the_dead_fraction() {
+        let mut idx = IncrementalIndex::new(grid_over_unit_square(2), 4);
+        let data: Vec<(STObject, usize)> =
+            (0..10).map(|i| (STObject::point_at(1.0 + i as f64, 1.0, 0), i)).collect();
+        idx.insert_batch(data.clone());
+        assert_eq!(idx.refresh(), 1);
+        // half the entries dead is not past the fraction: no rebuild
+        assert_eq!(idx.remove_batch(&data[..5]).removed, 5);
+        assert!(idx.dirty_partitions().is_empty());
+        assert_eq!(idx.refresh(), 0);
+        assert_eq!(
+            idx.within_distance(&STObject::point(0.0, 1.0), 100.0, DistanceFn::Euclidean).len(),
+            5
+        );
+        // one more is: the tree is rebuilt over the four survivors
+        idx.remove_batch(&data[5..6]);
+        assert_eq!(idx.dirty_partitions(), vec![0]);
+        assert_eq!(idx.refresh(), 1);
+        // the last four leave the partition empty: its tree is dropped,
+        // not rebuilt
+        idx.remove_batch(&data[6..]);
+        assert_eq!(idx.refresh(), 0);
+        assert!(idx.is_empty());
+        assert_eq!(idx.stats().rebuilds, 2);
+    }
+
+    /// A small record vocabulary, so scripts repeat records, mix `-0.0`
+    /// with `0.0`, and carry NaN coordinates.
+    fn vocabulary_record(code: (u8, u8, u8, u8)) -> (STObject, u8) {
+        const COORDS: [f64; 8] = [0.0, -0.0, 10.0, 33.0, 50.0, 71.0, 99.0, f64::NAN];
+        let (x, y, t, v) = code;
+        (STObject::point_at(COORDS[x as usize % 8], COORDS[y as usize % 8], t as i64 % 3), v % 4)
+    }
+
+    /// What the index must agree on with a fresh build over the same
+    /// records: filter and withinDistance results as multisets (with
+    /// `-0.0` folded into `0.0`, since either twin may survive), kNN
+    /// distances, and, after a refresh, the partitions a query scans.
+    fn observable(idx: &IncrementalIndex<u8>) -> Vec<Vec<(u64, u64, u8)>> {
+        let key = |(o, v): &(STObject, u8)| {
+            let c = o.centroid();
+            ((c.x + 0.0).to_bits(), (c.y + 0.0).to_bits(), *v)
+        };
+        let sorted = |recs: Vec<(STObject, u8)>| {
+            let mut keys: Vec<(u64, u64, u8)> = recs.iter().map(key).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let region =
+            STObject::from_wkt_interval("POLYGON((-1 -1, 40 -1, 40 60, -1 60, -1 -1))", 0, 2)
+                .unwrap();
+        let distances = |k: usize| {
+            let knn = idx.knn(&STObject::point_at(20.0, 20.0, 1), k, DistanceFn::Euclidean);
+            knn.iter()
+                .map(|(d, _)| if d.is_nan() { (u64::MAX, 0, 0) } else { (d.to_bits(), 0, 0) })
+                .collect::<Vec<_>>()
+        };
+        vec![
+            sorted(idx.filter(&region, STPredicate::Intersects)),
+            sorted(idx.within_distance(
+                &STObject::point_at(0.0, 0.0, 1),
+                40.0,
+                DistanceFn::Euclidean,
+            )),
+            distances(3),
+            distances(64),
+            vec![(idx.len() as u64, 0, 0)],
+        ]
+    }
+
+    fn fresh(records: &[(STObject, u8)]) -> IncrementalIndex<u8> {
+        let mut idx = IncrementalIndex::new(grid_over_unit_square(2), 4);
+        idx.insert_batch(records.to_vec());
+        idx.refresh();
+        idx
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random insert/remove scripts against a plain-`Vec` model of
+        /// removal by `==` (first match): `removed`/`missing` agree with
+        /// the model, and before and after every refresh the index
+        /// answers like a fresh build over the model's records.
+        #[test]
+        fn keyed_removal_matches_a_vec_model(
+            script in proptest::collection::vec(
+                (
+                    0u8..5,
+                    proptest::collection::vec(
+                        (0u8..8, 0u8..8, 0u8..3, 0u8..4), 0..24),
+                ),
+                1..14,
+            ),
+        ) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let mut idx = IncrementalIndex::new(grid_over_unit_square(2), 4);
+            let mut model: Vec<(STObject, u8)> = Vec::new();
+            for (kind, codes) in script {
+                let batch: Vec<(STObject, u8)> =
+                    codes.into_iter().map(vocabulary_record).collect();
+                match kind {
+                    // inserts, often of records already present
+                    0 | 1 => {
+                        idx.insert_batch(batch.clone());
+                        model.extend(batch);
+                    }
+                    // removes: present, absent, twins, NaN
+                    2 | 3 => {
+                        let (mut removed, mut missing) = (0, 0);
+                        for r in &batch {
+                            match model.iter().position(|m| m.0 == r.0 && m.1 == r.1) {
+                                Some(i) => {
+                                    model.remove(i);
+                                    removed += 1;
+                                }
+                                None => missing += 1,
+                            }
+                        }
+                        let outcome = idx.remove_batch(&batch);
+                        prop_assert_eq!((outcome.removed, outcome.missing), (removed, missing));
+                    }
+                    // remove everything the model holds
+                    _ => {
+                        let all = model.clone();
+                        let nan = all.iter().filter(|(o, _)| o.centroid().x.is_nan()
+                            || o.centroid().y.is_nan()).count();
+                        let outcome = idx.remove_batch(&all);
+                        prop_assert_eq!(outcome.removed, all.len() - nan);
+                        prop_assert_eq!(outcome.missing, nan);
+                        model.retain(|(o, _)| o.centroid().x.is_nan() || o.centroid().y.is_nan());
+                    }
+                }
+                let want = fresh(&model);
+                prop_assert_eq!(observable(&idx), observable(&want));
+                idx.refresh();
+                prop_assert_eq!(observable(&idx), observable(&want));
+                prop_assert!(idx.dirty_partitions().is_empty());
+                let region = STObject::from_wkt_interval(
+                    "POLYGON((-1 -1, 40 -1, 40 60, -1 60, -1 -1))", 0, 2).unwrap();
+                prop_assert_eq!(
+                    idx.partitions_scanned(&region, &STPredicate::Intersects),
+                    want.partitions_scanned(&region, &STPredicate::Intersects)
+                );
+            }
+        }
     }
 }

@@ -46,6 +46,7 @@ pub mod join;
 mod knn_join;
 pub mod partitioner;
 pub mod predicate;
+pub mod slab;
 mod spatial_rdd;
 pub mod stobject;
 pub mod temporal;
@@ -63,6 +64,7 @@ pub use partitioner::{
     SpatialPartitioner, TemporalPartitioner,
 };
 pub use predicate::STPredicate;
+pub use slab::{RecordSlab, SlotId};
 pub use spatial_rdd::{PartitioningInfo, SpatialRdd, SpatialRddExt};
 pub use stobject::STObject;
 pub use temporal::{Temporal, TemporalExtent};

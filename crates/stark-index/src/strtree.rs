@@ -291,7 +291,7 @@ fn str_pack<I>(mut items: Vec<I>, order: usize, env_of: impl Fn(&I) -> Envelope)
     items.sort_by(|a, b| {
         let ca = env_of(a).center().x;
         let cb = env_of(b).center().x;
-        ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
+        ca.total_cmp(&cb)
     });
 
     let mut groups = Vec::with_capacity(num_groups);
@@ -302,7 +302,7 @@ fn str_pack<I>(mut items: Vec<I>, order: usize, env_of: impl Fn(&I) -> Envelope)
         slice.sort_by(|a, b| {
             let ca = env_of(a).center().y;
             let cb = env_of(b).center().y;
-            ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
+            ca.total_cmp(&cb)
         });
         while !slice.is_empty() {
             let take = order.min(slice.len());

@@ -36,7 +36,10 @@ pub struct BatchMetrics {
     pub queue_depth: usize,
     /// Index partitions this batch's records landed in.
     pub partitions_touched: usize,
-    /// Index partition trees rebuilt for this batch.
+    /// Standing-query index trees rebuilt for this batch: partitions
+    /// that gained records, plus partitions whose tombstones passed
+    /// [`stark::incremental::MAX_DEAD_FRACTION`]. A partition that only
+    /// lost records has its extents re-fitted, not its tree rebuilt.
     pub partitions_rebuilt: usize,
     /// Window panes fired while processing this batch.
     pub windows_fired: u64,

@@ -450,10 +450,9 @@ impl StreamContext {
         // operator chain transforms it identically on both paths. A
         // panicking operator skips the batch whole — nothing was
         // observed, no state changed, the watermark simply holds still.
-        let mut delta = Delta::new(
-            batch.records.iter().cloned().collect(),
-            batch.retracts.iter().cloned().collect(),
-        );
+        // The driver holds the batch's only handle, so this moves the
+        // rows rather than cloning them.
+        let mut delta = Delta::new(batch.records.into_vec(), batch.retracts.into_vec());
         if !job.ops.is_empty() {
             let ops = &job.ops;
             match catch_unwind(AssertUnwindSafe(move || {

@@ -12,12 +12,18 @@
 //!   STR-trees ([`IncrementalIndex`]) and probes only the delta against
 //!   the opposite side's index, emitting the exact change
 //!   ([`JoinEmission::Delta`]) to the standing result — O(Δ·probe)
-//!   instead of O(|L|·probe) per batch.
+//!   instead of O(|L|·probe) per batch. A retraction finds its record
+//!   by key and tombstones it in O(1).
 //! * [`WindowAggregator`] maintains running per-window aggregates
 //!   (count + grid cells) under inserts *and retractions*, emits each
 //!   window's final aggregate the moment the watermark expires it, and
 //!   emits exactly one [`WindowRetraction`] per expired window so
-//!   downstream state can evict the window's contribution.
+//!   downstream state can evict the window's contribution. Each
+//!   accepted record is stored once, in a [`RecordSlab`]; windows hold
+//!   slot ids, not records.
+//!
+//! Both keep their records in [`stark::RecordSlab`]s, so no retraction
+//! searches the state it retracts from: its cost is O(Δ), not O(state).
 //!
 //! The correctness contract is differential: for any input stream —
 //! out-of-order, late, shed, retracted mid-stream — the incremental
@@ -28,7 +34,9 @@
 use crate::delta::Delta;
 use crate::sink::{WindowAggregate, WindowRetraction};
 use crate::window::{event_time, LatePolicy, ObserveStats, Watermark, WindowSpec};
-use stark::{CellStats, IncrementalIndex, STObject, STPredicate, SpatialPartitioner};
+use stark::{
+    CellStats, IncrementalIndex, RecordSlab, STObject, STPredicate, SlotId, SpatialPartitioner,
+};
 use stark_engine::Data;
 use stark_geo::Envelope;
 use std::collections::BTreeMap;
@@ -138,6 +146,14 @@ enum JoinState<V: Data> {
 /// apply retractions membership-checked (retracting a record a side
 /// never held is a no-op), so they stay equivalent under shed or
 /// quarantined upstream data.
+///
+/// On the incremental path each retraction is one
+/// [`IncrementalIndex::remove`]: a key lookup and a tombstone in the
+/// side's tree, with no search, no extent re-fit and no rebuild. Probes
+/// skip tombstones, so a probe never falls back to a linear scan because
+/// of a retraction. Each side is refreshed after its retracts and after
+/// its inserts; a refresh rebuilds only partitions that gained records
+/// or carry too many tombstones.
 pub struct DeltaJoin<V: Data> {
     spec: JoinSpec<V>,
     state: JoinState<V>,
@@ -179,21 +195,21 @@ impl<V: Data> DeltaJoin<V> {
             JoinState::Incremental { left, right } => {
                 let mut retracts = Vec::new();
                 for (o, v) in delta.retracts.iter().filter(|(o, v)| (spec.left)(o, v)) {
-                    if left.remove_batch([(o.clone(), v.clone())]).removed == 1 {
+                    if left.remove(o, v) {
                         for m in right.filter(o, pred) {
                             retracts.push(((o.clone(), v.clone()), m));
                         }
                     }
                 }
                 for (o, v) in delta.retracts.iter().filter(|(o, v)| (spec.right)(o, v)) {
-                    if right.remove_batch([(o.clone(), v.clone())]).removed == 1 {
+                    if right.remove(o, v) {
                         for m in left.filter(o, pred) {
                             retracts.push((m, (o.clone(), v.clone())));
                         }
                     }
                 }
-                // retract probes fell back to linear scans on dirtied
-                // partitions (still exact); rebuild before insert probes
+                // re-fit the extents the retracts left loose, and drop
+                // tombstones where they pile up, before the insert probes
                 left.refresh();
                 right.refresh();
 
@@ -283,70 +299,74 @@ impl GridGeometry {
         row * self.dims + col
     }
 
-    fn stats_for(&self, i: usize, cell: &CellState) -> CellStats {
+    fn stats_for(&self, i: usize, count: u64, time_range: Option<(i64, i64)>) -> CellStats {
         let col = i % self.dims;
         let row = i / self.dims;
         let min_x = self.sx + col as f64 * self.cell_w;
         let min_y = self.sy + row as f64 * self.cell_h;
-        let time_range = match (cell.times.keys().next(), cell.times.keys().next_back()) {
-            (Some(&lo), Some(&hi)) => Some((lo, hi)),
-            _ => None,
-        };
         CellStats {
             col,
             row,
             bounds: Envelope::from_bounds(min_x, min_y, min_x + self.cell_w, min_y + self.cell_h),
-            count: cell.count,
+            count,
             time_range,
         }
     }
 }
 
-/// Running state of one grid cell. Event times are a multiset so the
-/// min/max time range stays exact when a retraction removes one of
-/// several records sharing a timestamp.
+/// Running state of one grid cell: its count and the range of its
+/// records' event times. Retracting a record at either end of the range
+/// leaves the range *stale*, since another record may share that time;
+/// a stale range is re-read from the window's members when the window
+/// is finalized, so a retraction stays O(1).
 #[derive(Clone, Default)]
 struct CellState {
     count: u64,
-    times: BTreeMap<i64, u32>,
+    times: Option<(i64, i64)>,
+    stale: bool,
+}
+
+/// `range` widened to cover `o`'s event time.
+fn widen(range: Option<(i64, i64)>, o: &STObject) -> Option<(i64, i64)> {
+    let Some(t) = o.time() else { return range };
+    let s = t.start();
+    Some(range.map_or((s, s), |(lo, hi)| (lo.min(s), hi.max(s))))
 }
 
 impl CellState {
     fn insert(&mut self, o: &STObject) {
         self.count += 1;
-        if let Some(t) = o.time() {
-            *self.times.entry(t.start()).or_insert(0) += 1;
-        }
+        self.times = widen(self.times, o);
     }
 
     fn remove(&mut self, o: &STObject) {
         self.count -= 1;
-        if let Some(t) = o.time() {
-            let s = t.start();
-            if let Some(n) = self.times.get_mut(&s) {
-                *n -= 1;
-                if *n == 0 {
-                    self.times.remove(&s);
-                }
-            }
+        if let (Some(t), Some((lo, hi))) = (o.time(), self.times) {
+            self.stale |= t.start() == lo || t.start() == hi;
         }
     }
 }
 
-/// Running state of one open window.
-struct WindowState<V> {
-    /// The window's records, kept for membership-checked retraction: a
-    /// retraction only adjusts aggregates if the record is actually
-    /// present, exactly like removing it from a recompute pane buffer.
-    members: Vec<(STObject, V)>,
+/// Running state of one open window. It holds no record: members are
+/// slot ids into the aggregator's [`RecordSlab`], which stores each
+/// accepted record once however many windows it falls into. A
+/// retracted member's id stays behind and no longer resolves.
+struct WindowState {
+    /// Live members.
+    count: u64,
     /// Per-cell aggregates; allocated on first insert when a grid is
     /// configured.
     cells: Option<Vec<CellState>>,
+    /// Members for which this is the last window they fall into: they
+    /// leave the slab when it expires.
+    owned: Vec<SlotId>,
+    /// The other members, owned by a later window.
+    shared: Vec<SlotId>,
 }
 
-impl<V> WindowState<V> {
+impl WindowState {
     fn new() -> Self {
-        WindowState { members: Vec::new(), cells: None }
+        WindowState { count: 0, cells: None, owned: Vec::new(), shared: Vec::new() }
     }
 }
 
@@ -358,15 +378,24 @@ impl<V> WindowState<V> {
 /// [`LatePolicy`] handling, retractions never advance the watermark —
 /// but instead of buffering records for a fire-time recompute, each
 /// delta updates running aggregates in O(Δ). When the watermark expires
-/// a window the final [`WindowAggregate`] is emitted without touching
-/// the window's records again, together with exactly one
-/// [`WindowRetraction`] evicting the window downstream.
+/// a window the final [`WindowAggregate`] is emitted from the running
+/// state, together with exactly one [`WindowRetraction`] evicting the
+/// window downstream.
+///
+/// Each accepted record is stored once, in a [`RecordSlab`], however
+/// many sliding windows it falls into; a window keeps its count, its
+/// cells and its members' slot ids. A timely retraction finds its slot
+/// by key. A record leaves the slab when the last window it falls into
+/// expires.
 pub struct WindowAggregator<V> {
     spec: WindowSpec,
     policy: LatePolicy,
     watermark: Watermark,
     grid: Option<GridGeometry>,
-    windows: BTreeMap<i64, WindowState<V>>,
+    windows: BTreeMap<i64, WindowState>,
+    /// Each accepted record, once, until its last window expires or it
+    /// is retracted.
+    records: RecordSlab<V>,
     side: Vec<(STObject, V)>,
     dropped_total: u64,
 }
@@ -384,6 +413,7 @@ impl<V: Data> WindowAggregator<V> {
             watermark: Watermark::new(allowed_lateness),
             grid: grid.map(|(dims, space)| GridGeometry::new(dims, &space)),
             windows: BTreeMap::new(),
+            records: RecordSlab::new(),
             side: Vec::new(),
             dropped_total: 0,
         }
@@ -408,32 +438,39 @@ impl<V: Data> WindowAggregator<V> {
     }
 
     fn add(&mut self, t: i64, obj: &STObject, value: &V) {
-        for start in self.spec.windows_for(t) {
+        let id = self.records.insert(obj.clone(), value.clone());
+        let cell = self.grid.as_ref().map(|geo| (geo.dims, geo.cell_of(obj)));
+        let mut starts = self.spec.windows_for(t).peekable();
+        while let Some(start) = starts.next() {
             let state = self.windows.entry(start).or_insert_with(WindowState::new);
-            state.members.push((obj.clone(), value.clone()));
-            if let Some(geo) = &self.grid {
-                let cells = state
-                    .cells
-                    .get_or_insert_with(|| vec![CellState::default(); geo.dims * geo.dims]);
-                cells[geo.cell_of(obj)].insert(obj);
+            state.count += 1;
+            if starts.peek().is_some() { &mut state.shared } else { &mut state.owned }.push(id);
+            if let Some((dims, cell)) = cell {
+                state.cells.get_or_insert_with(|| vec![CellState::default(); dims * dims])[cell]
+                    .insert(obj);
             }
         }
     }
 
+    /// Takes a timely retraction's record out of every window it was
+    /// routed to. Every window of a timely event time is still open (a
+    /// window expires only once the watermark passes its end, and the
+    /// event time is at or past the watermark), so a record found in the
+    /// slab is a member of each window `windows_for(t)` names; a record
+    /// not found was never accepted, or was retracted already.
     fn retract(&mut self, t: i64, obj: &STObject, value: &V)
     where
         V: PartialEq,
     {
+        if self.records.take(obj, value).is_none() {
+            return;
+        }
+        let cell = self.grid.as_ref().map(|geo| geo.cell_of(obj));
         for start in self.spec.windows_for(t) {
             let Some(state) = self.windows.get_mut(&start) else { continue };
-            let Some(i) = state.members.iter().position(|(o, v)| o == obj && v == value) else {
-                continue;
-            };
-            state.members.remove(i);
-            if let Some(geo) = &self.grid {
-                if let Some(cells) = &mut state.cells {
-                    cells[geo.cell_of(obj)].remove(obj);
-                }
+            state.count -= 1;
+            if let (Some(cells), Some(cell)) = (&mut state.cells, cell) {
+                cells[cell].remove(obj);
             }
         }
     }
@@ -494,22 +531,37 @@ impl<V: Data> WindowAggregator<V> {
         stats
     }
 
-    /// Builds the final aggregate for one window without re-scanning its
-    /// records — the running state *is* the aggregate.
-    fn finalize(&self, start: i64, state: &WindowState<V>) -> WindowAggregate {
+    /// Builds the final aggregate for one window from its running state.
+    /// Only cells whose time range a retraction left stale re-read the
+    /// window's members.
+    fn finalize(&self, start: i64, state: &WindowState) -> WindowAggregate {
         let grid = match (&self.grid, &state.cells) {
-            (Some(geo), Some(cells)) => cells
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.count > 0)
-                .map(|(i, c)| geo.stats_for(i, c))
-                .collect(),
+            (Some(geo), Some(cells)) => {
+                let mut times: Vec<Option<(i64, i64)>> =
+                    cells.iter().map(|c| c.times.filter(|_| !c.stale)).collect();
+                if cells.iter().any(|c| c.stale) {
+                    let members = state.owned.iter().chain(&state.shared);
+                    for (o, _) in members.filter_map(|&id| self.records.get(id)) {
+                        let i = geo.cell_of(o);
+                        if cells[i].stale {
+                            times[i] = widen(times[i], o);
+                        }
+                    }
+                }
+                cells
+                    .iter()
+                    .zip(times)
+                    .enumerate()
+                    .filter(|(_, (c, _))| c.count > 0)
+                    .map(|(i, (c, t))| geo.stats_for(i, c.count, t))
+                    .collect()
+            }
             _ => Vec::new(),
         };
         WindowAggregate {
             start,
             end: start + self.spec.size(),
-            count: state.members.len() as u64,
+            count: state.count,
             grid,
             hotspot_clusters: 0,
         }
@@ -522,25 +574,22 @@ impl<V: Data> WindowAggregator<V> {
     /// late from now on).
     pub fn expire(&mut self) -> Vec<(WindowAggregate, WindowRetraction)> {
         let Some(watermark) = self.watermark() else { return Vec::new() };
-        let ready: Vec<i64> = self
-            .windows
-            .keys()
-            .copied()
-            .take_while(|start| start + self.spec.size() <= watermark)
-            .collect();
-        ready
-            .into_iter()
-            .map(|start| {
-                let state = self.windows.remove(&start).expect("expired window present");
-                let agg = self.finalize(start, &state);
-                let retraction = WindowRetraction {
-                    start,
-                    end: start + self.spec.size(),
-                    count: state.members.len() as u64,
-                };
-                (agg, retraction)
-            })
-            .collect()
+        let mut expired = Vec::new();
+        while let Some(entry) = self.windows.first_entry() {
+            let start = *entry.key();
+            if start + self.spec.size() > watermark {
+                break;
+            }
+            let state = entry.remove();
+            let agg = self.finalize(start, &state);
+            for &id in &state.owned {
+                self.records.remove(id);
+            }
+            let retraction =
+                WindowRetraction { start, end: start + self.spec.size(), count: state.count };
+            expired.push((agg, retraction));
+        }
+        expired
     }
 
     /// End-of-stream: emits every remaining window's aggregate
@@ -548,6 +597,9 @@ impl<V: Data> WindowAggregator<V> {
     /// nothing downstream outlives it.
     pub fn flush(&mut self) -> Vec<WindowAggregate> {
         let windows = std::mem::take(&mut self.windows);
-        windows.iter().map(|(start, state)| self.finalize(*start, state)).collect()
+        let aggregates =
+            windows.iter().map(|(start, state)| self.finalize(*start, state)).collect();
+        self.records.clear();
+        aggregates
     }
 }

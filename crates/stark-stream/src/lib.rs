@@ -77,4 +77,5 @@ pub use source::{
 };
 pub use window::{
     event_time, LatePolicy, ObserveStats, Watermark, WindowManager, WindowPane, WindowSpec,
+    WindowStarts,
 };

@@ -88,7 +88,8 @@ pub struct QueryResult<V> {
 pub struct BatchEvaluation<V> {
     /// Index partitions the batch's records landed in (0 when unindexed).
     pub partitions_touched: usize,
-    /// Partition trees rebuilt for this batch (0 when unindexed).
+    /// Partition trees rebuilt for this batch (0 when unindexed): see
+    /// [`crate::BatchMetrics::partitions_rebuilt`].
     pub partitions_rebuilt: usize,
     pub results: Vec<QueryResult<V>>,
 }
@@ -168,7 +169,7 @@ impl<V: Data> ContinuousQueryEngine<V> {
     {
         let (touched, rebuilt) = match &mut self.state {
             QueryState::Indexed(idx) => {
-                let removed = idx.remove_batch(delta.retracts.iter().cloned());
+                let removed = idx.remove_batch(&delta.retracts);
                 let touched = idx.insert_batch(delta.inserts.iter().cloned());
                 let rebuilt = idx.refresh();
                 (touched.max(removed.partitions_touched), rebuilt)

@@ -80,15 +80,40 @@ impl WindowSpec {
     }
 
     /// Start times of every window containing event time `t`, ascending.
-    pub fn windows_for(&self, t: i64) -> Vec<i64> {
-        let mut starts = Vec::new();
-        let mut s = t.div_euclid(self.slide) * self.slide; // greatest start <= t
-        while s + self.size > t {
-            starts.push(s);
-            s -= self.slide;
+    pub fn windows_for(&self, t: i64) -> WindowStarts {
+        // the greatest start <= t, and the earliest one, s = last - j·slide
+        // with s + size > t
+        let last = t.div_euclid(self.slide) * self.slide;
+        let first = last - (self.size - 1 - (t - last)) / self.slide * self.slide;
+        WindowStarts { next: first, last, slide: self.slide }
+    }
+}
+
+/// The window starts [`WindowSpec::windows_for`] yields, ascending,
+/// without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowStarts {
+    next: i64,
+    last: i64,
+    slide: i64,
+}
+
+impl Iterator for WindowStarts {
+    type Item = i64;
+
+    fn next(&mut self) -> Option<i64> {
+        if self.next > self.last {
+            return None;
         }
-        starts.reverse();
-        starts
+        let start = self.next;
+        self.next += self.slide;
+        Some(start)
+    }
+}
+
+impl PartialEq<Vec<i64>> for WindowStarts {
+    fn eq(&self, other: &Vec<i64>) -> bool {
+        Iterator::eq(*self, other.iter().copied())
     }
 }
 

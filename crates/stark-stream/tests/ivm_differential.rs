@@ -378,6 +378,51 @@ fn insert_only_join_agrees_without_retractions() {
     }
 }
 
+/// Long retention: every batch retracts the batch [`LONG_RETENTION`]
+/// back, the shape of the `stream` benchmark's retention ring (6
+/// batches there), so the standing join and query state carry sixty
+/// batches and each batch both grows and shrinks it. With the default
+/// lateness the retractions arrive late for the windows and only the
+/// join and the queries apply them; with a lateness wider than the
+/// stream they reach open windows too. Recompute runs under the seeded
+/// transient faults.
+#[test]
+fn sixty_batch_retention_agrees_with_recompute() {
+    const LONG_RETENTION: usize = 60;
+    let mut script: Vec<Delta<u64>> = Vec::new();
+    let mut ring: std::collections::VecDeque<Vec<(STObject, u64)>> = Default::default();
+    for b in 0..LONG_RETENTION as u64 + 20 {
+        let inserts: Vec<(STObject, u64)> = (0..6)
+            .map(|i| {
+                let k = b * 6 + i;
+                let (x, y) = ((k * 37 % 97) as f64 + 1.5, (k * 61 % 89) as f64 + 2.5);
+                (STObject::point_at(x, y, k as i64 * 20 - (k * 7 % 50) as i64), k)
+            })
+            .collect();
+        ring.push_back(inserts.clone());
+        let retracts = if ring.len() > LONG_RETENTION {
+            ring.pop_front().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        script.push(Delta::new(inserts, retracts));
+    }
+    for lateness in [LATENESS, 1_000_000] {
+        let cfg =
+            RunConfig { sliding: true, inject_faults: true, lateness, ..RunConfig::default() };
+        let rec = run_pipeline(PipelineMode::Recompute, &script, &cfg);
+        let inc = run_pipeline(PipelineMode::Incremental, &script, &cfg);
+        assert_equivalent(&rec, &inc);
+        assert!(
+            inc.1.joins.iter().any(|(_, e)| e.retracted() > 0),
+            "the retention ring must retract joined pairs"
+        );
+        if lateness > LATENESS {
+            assert!(inc.0.records_retracted() > 0, "retractions must reach open windows");
+        }
+    }
+}
+
 /// Live shedding on the incremental path: nondeterministic races make a
 /// cross-path comparison impossible, so pin the accounting invariants
 /// instead — every record is shed, windowed, or late; no retraction
