@@ -37,6 +37,7 @@
 //! partition that lost records gets its extents re-fitted, once, so
 //! after a refresh pruning is as tight as on a fresh build.
 
+use crate::knn::{knn, Source};
 use crate::partitioner::SpatialPartitioner;
 use crate::predicate::STPredicate;
 use crate::slab::{RecordSlab, SlotId};
@@ -334,52 +335,31 @@ impl<V: Data> IncrementalIndex<V> {
         self.mask_for(pred, query).filter(|m| *m).count()
     }
 
-    /// Exact k-nearest-neighbour search. Trees are probed with an
-    /// enlarging fetch (envelope distance lower-bounds Euclidean
-    /// distance; tombstones are fetched but not kept); slots not yet in
-    /// a tree, and every slot under a non-Euclidean distance, are
-    /// scanned linearly.
+    /// Exact k-nearest-neighbour search, for every geometry kind and
+    /// every [`DistanceFn`]: the crate's one best-first kNN search over
+    /// the partitions, each one its extent, its tree and its slots not
+    /// yet in the tree. Every step is keyed by `dist_fn`'s bound from
+    /// the per-axis gaps between the query's envelope and the step's, a
+    /// lower bound on the exact distance of any record inside, so the
+    /// k-th exact distance ends the search and a partition whose extent
+    /// is farther than it is never opened. Tombstones score nothing.
     pub fn knn(
         &self,
         query: &STObject,
         k: usize,
         dist_fn: DistanceFn,
     ) -> Vec<(f64, (STObject, V))> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let target = query.centroid();
-        let sound_bound = matches!(dist_fn, DistanceFn::Euclidean);
-        let scored =
-            |id: SlotId| self.records.get(id).map(|(o, v)| (o.distance(query, dist_fn), (o, v)));
-        let mut merged: Vec<(f64, (&STObject, &V))> = Vec::new();
-        for part in &self.parts {
-            match &part.tree {
-                Some(tree) if sound_bound => {
-                    let mut fetch = (k * 4).max(32).min(tree.len());
-                    loop {
-                        let candidates = tree.nearest_k(&target, fetch);
-                        let mut exact: Vec<_> =
-                            candidates.iter().filter_map(|(_, e)| scored(e.item)).collect();
-                        exact.sort_by(|a, b| a.0.total_cmp(&b.0));
-                        exact.truncate(k);
-                        let kth = exact.last().map(|(d, _)| *d).unwrap_or(f64::INFINITY);
-                        let frontier =
-                            candidates.last().map(|(lb, _)| *lb).unwrap_or(f64::INFINITY);
-                        if fetch >= tree.len() || (exact.len() == k && frontier >= kth) {
-                            merged.extend(exact);
-                            break;
-                        }
-                        fetch = (fetch * 2).min(tree.len().max(1));
-                    }
-                    merged.extend(part.pending.iter().filter_map(|e| scored(e.item)));
-                }
-                _ => merged.extend(part.all_entries().filter_map(|e| scored(e.item))),
-            }
-        }
-        merged.sort_by(|a, b| a.0.total_cmp(&b.0));
-        merged.truncate(k);
-        merged.into_iter().map(|(d, (o, v))| (d, (o.clone(), v.clone()))).collect()
+        let sources = self.parts.iter().map(|part| Source {
+            extent: part.extent,
+            tree: part.tree.as_ref(),
+            loose: &part.pending,
+        });
+        knn(query, k, dist_fn, sources, |id: &SlotId| {
+            self.records.get(*id).map(|record| (&record.0, record))
+        })
+        .into_iter()
+        .map(|(d, record)| (d, record.clone()))
+        .collect()
     }
 
     /// Convenience: filter with a `WithinDistance` predicate.
@@ -522,6 +502,38 @@ mod tests {
         assert_eq!(got.len(), 7);
         for (g, e) in got.iter().zip(expect.iter()) {
             assert!((g.0 - e).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn knn_opens_no_partition_farther_than_the_kth_distance() {
+        // the 5 nearest records sit in the cell at the query; six far
+        // cells are full
+        let mut data: Vec<(STObject, usize)> =
+            (0..20).map(|i| (STObject::point(10.0 + (i % 5) as f64 * 0.5, 10.0), i)).collect();
+        data.extend((0..300).map(|i| {
+            let (x, y) = (55.0 + (i % 20) as f64 * 2.0, 30.0 + (i / 20) as f64 * 4.0);
+            (STObject::point(x, y), 100 + i)
+        }));
+        let mut idx = IncrementalIndex::new(grid_over_unit_square(4), 5);
+        idx.insert_batch(data.clone());
+        let q = STObject::point(10.0, 10.0);
+        let occupied = idx.parts.iter().filter(|p| p.live() > 0).count();
+        assert!(occupied > 6, "{occupied} partitions hold records");
+        let mut expect: Vec<f64> =
+            data.iter().map(|(o, _)| o.distance(&q, DistanceFn::Euclidean)).collect();
+        expect.sort_by(f64::total_cmp);
+        expect.truncate(5);
+        // pending slots first, then trees
+        for refreshed in [false, true] {
+            if refreshed {
+                idx.refresh();
+            }
+            crate::knn::take_opened_sources();
+            let got: Vec<f64> =
+                idx.knn(&q, 5, DistanceFn::Euclidean).into_iter().map(|(d, _)| d).collect();
+            assert_eq!(got, expect);
+            assert_eq!(crate::knn::take_opened_sources(), 1, "refreshed: {refreshed}");
         }
     }
 

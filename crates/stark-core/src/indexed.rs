@@ -11,6 +11,7 @@
 //! programs can reload them without re-building.
 
 use crate::error::StarkError;
+use crate::knn::{knn, Source};
 use crate::partitioner::{PartitionCell, SpatialPartitioner};
 use crate::predicate::STPredicate;
 use crate::spatial_rdd::{PartitioningInfo, SpatialRdd};
@@ -181,12 +182,14 @@ impl<V: Data> IndexedSpatialRdd<V> {
         self.filter(query, STPredicate::WithinDistance { max_dist, dist_fn })
     }
 
-    /// Exact k-nearest-neighbour search through the index.
-    ///
-    /// Per partition, candidates are pulled from the tree in ascending
-    /// envelope-distance order (a lower bound on the true distance) and
-    /// the fetch is enlarged until the bound passes the provisional k-th
-    /// exact distance, guaranteeing exactness for every geometry kind.
+    /// Exact k-nearest-neighbour search through the index, for every
+    /// geometry kind and every [`DistanceFn`]. Each partition runs the
+    /// crate's one best-first kNN search over its trees: entries leave a
+    /// tree in ascending order of a lower bound on their exact distance
+    /// (`dist_fn`'s bound from the per-axis gaps between the query's
+    /// envelope and theirs, which no geometry inside the envelopes can
+    /// beat), are scored exactly, and the k-th exact distance ends the
+    /// search. The driver merges the per-partition top-k.
     pub fn knn(
         &self,
         query: &STObject,
@@ -197,39 +200,12 @@ impl<V: Data> IndexedSpatialRdd<V> {
             return Vec::new();
         }
         let q = query.clone();
-        let target = query.centroid();
         let partials = self.trees.run_partitions(move |_, trees| {
-            let mut local: Vec<(f64, (STObject, V))> = Vec::new();
-            for tree in trees {
-                let mut fetch = (k * 4).max(32).min(tree.len());
-                loop {
-                    let candidates = tree.nearest_k(&target, fetch);
-                    let mut exact: Vec<(f64, &Entry<(STObject, V)>)> = candidates
-                        .iter()
-                        .map(|(_, e)| (e.item.0.distance(&q, dist_fn), *e))
-                        .collect();
-                    exact.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    exact.truncate(k);
-                    let kth = exact.last().map(|(d, _)| *d).unwrap_or(f64::INFINITY);
-                    let frontier = candidates.last().map(|(lb, _)| *lb).unwrap_or(f64::INFINITY);
-                    // Done when we have everything, or the next unseen
-                    // lower bound cannot beat our provisional k-th.
-                    // (Envelope distance lower-bounds Euclidean distance;
-                    // for other metrics fall back to full enumeration.)
-                    let sound_bound = matches!(dist_fn, DistanceFn::Euclidean);
-                    if fetch >= tree.len() || (sound_bound && exact.len() == k && frontier >= kth) {
-                        local.extend(exact.into_iter().map(|(d, e)| (d, e.item.clone())));
-                        break;
-                    }
-                    fetch = (fetch * 2).min(tree.len().max(1));
-                    if !sound_bound {
-                        fetch = tree.len();
-                    }
-                }
-            }
-            local.sort_by(|a, b| a.0.total_cmp(&b.0));
-            local.truncate(k);
-            local
+            let sources = trees.iter().map(|t| Source::tree(t.as_ref()));
+            knn(&q, k, dist_fn, sources, |item: &(STObject, V)| Some((&item.0, item)))
+                .into_iter()
+                .map(|(d, item)| (d, item.clone()))
+                .collect::<Vec<_>>()
         });
         let mut merged: Vec<(f64, (STObject, V))> = partials.into_iter().flatten().collect();
         merged.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -359,6 +335,23 @@ mod tests {
         for (a, b) in plain.iter().zip(indexed.iter()) {
             assert!((a.0 - b.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn indexed_knn_of_a_polygon_focus_is_exact() {
+        // 40 points at (50 … 50.39, 10) and one at (0, 2), all in one
+        // tree. The thin polygon's centroid (50, 0.5) is nearest to the
+        // 40, but the polygon itself is nearest to (0, 2), at distance 1.
+        let ctx = Context::with_parallelism(2);
+        let mut data: Vec<(STObject, u32)> =
+            (0..40).map(|i| (STObject::point(50.0 + i as f64 * 0.01, 10.0), i)).collect();
+        data.push((STObject::point(0.0, 2.0), 40));
+        let rdd = ctx.parallelize(data, 1).spatial();
+        let focus = STObject::from_wkt("POLYGON((0 0, 100 0, 100 1, 0 1, 0 0))").unwrap();
+        let got = rdd.live_index(16).knn(&focus, 1, DistanceFn::Euclidean);
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].0, got[0].1 .1), (1.0, 40));
+        assert_eq!(got[0].0, rdd.knn(&focus, 1, DistanceFn::Euclidean)[0].0);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! right records. Rounds out the paper's kNN operator (§2.3) to the join
 //! form shipped by later STARK versions.
 
+use crate::knn::{knn, Source};
 use crate::spatial_rdd::SpatialRdd;
 use crate::stobject::STObject;
 use stark_engine::{Data, Rdd, StoreData};
@@ -18,10 +19,10 @@ impl<V: Data> SpatialRdd<V> {
     /// neighbour list ascending by distance.
     ///
     /// Execution: every left partition is paired with every right
-    /// partition (local top-k against an STR-tree of the right side),
-    /// then per-left-record candidate lists are merged with a shuffle on
-    /// the left record id. Exact for Euclidean distances; other metrics
-    /// fall back to exhaustive local scans.
+    /// partition (per left record, the crate's one best-first kNN search
+    /// over an STR-tree of the right side), then
+    /// per-left-record candidate lists are merged with a shuffle on the
+    /// left record id. Exact for every geometry kind and metric.
     pub fn knn_join<W: StoreData>(
         &self,
         other: &SpatialRdd<W>,
@@ -51,7 +52,6 @@ impl<V: Data> SpatialRdd<V> {
         type Partial<V, W> = (u64, ((STObject, V), Vec<(f64, (STObject, W))>));
         let partials: Rdd<Partial<V, W>> =
             left.join_partition_pairs(&right, pairs, move |ldata, rdata| {
-                let exhaustive = !matches!(dist_fn, DistanceFn::Euclidean);
                 let entries: Vec<Entry<usize>> = rdata
                     .iter()
                     .enumerate()
@@ -61,40 +61,10 @@ impl<V: Data> SpatialRdd<V> {
                 ldata
                     .into_iter()
                     .map(|(id, (lo, lv))| {
-                        let mut best: Vec<(f64, (STObject, W))> = if exhaustive {
-                            rdata
-                                .iter()
-                                .map(|(ro, rv)| {
-                                    (lo.distance(ro, dist_fn), (ro.clone(), rv.clone()))
-                                })
-                                .collect()
-                        } else {
-                            // envelope-distance candidates, enlarged until
-                            // the frontier bound passes the provisional kth
-                            let target = lo.centroid();
-                            let mut fetch = (k * 4).max(16).min(rdata.len());
-                            loop {
-                                let cands = tree.nearest_k(&target, fetch);
-                                let mut exact: Vec<(f64, usize)> = cands
-                                    .iter()
-                                    .map(|(_, e)| (lo.distance(&rdata[e.item].0, dist_fn), e.item))
-                                    .collect();
-                                exact.sort_by(|a, b| a.0.total_cmp(&b.0));
-                                exact.truncate(k);
-                                let kth = exact.last().map(|(d, _)| *d).unwrap_or(f64::INFINITY);
-                                let frontier =
-                                    cands.last().map(|(lb, _)| *lb).unwrap_or(f64::INFINITY);
-                                if fetch >= rdata.len() || (exact.len() == k && frontier >= kth) {
-                                    break exact
-                                        .into_iter()
-                                        .map(|(d, i)| (d, rdata[i].clone()))
-                                        .collect();
-                                }
-                                fetch = (fetch * 2).min(rdata.len());
-                            }
-                        };
-                        best.sort_by(|a, b| a.0.total_cmp(&b.0));
-                        best.truncate(k);
+                        let best = knn(&lo, k, dist_fn, [Source::tree(&tree)], |&i: &usize| {
+                            Some((&rdata[i].0, i))
+                        });
+                        let best = best.into_iter().map(|(d, i)| (d, rdata[i].clone())).collect();
                         (id, ((lo, lv), best))
                     })
                     .collect()
@@ -153,6 +123,22 @@ mod tests {
                 assert!((got.0 - want).abs() < 1e-9, "{} vs {want}", got.0);
             }
         }
+    }
+
+    #[test]
+    fn knn_join_with_a_polygon_left_record_is_exact() {
+        // the polygon's centroid (50, 0.5) is nearest to the 40 points
+        // at y = 10, but the polygon itself is nearest to (0, 2)
+        let ctx = Context::with_parallelism(2);
+        let mut coords: Vec<(f64, f64)> = (0..40).map(|i| (50.0 + i as f64 * 0.01, 10.0)).collect();
+        coords.push((0.0, 2.0));
+        let right = pts(&ctx, &coords, 1);
+        let focus = STObject::from_wkt("POLYGON((0 0, 100 0, 100 1, 0 1, 0 0))").unwrap();
+        let left = ctx.parallelize(vec![(focus, 0u32)], 1).spatial();
+        let joined = left.knn_join(&right, 1, DistanceFn::Euclidean).collect();
+        let ns = &joined[0].1;
+        assert_eq!(ns.len(), 1);
+        assert_eq!((ns[0].0, ns[0].1 .1), (1.0, 40));
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod error;
 pub mod incremental;
 mod indexed;
 pub mod join;
+mod knn;
 mod knn_join;
 pub mod partitioner;
 pub mod predicate;

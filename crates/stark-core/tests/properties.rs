@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use stark::{
-    BspPartitioner, GridPartitioner, JoinConfig, STObject, STPredicate, SpatialPartitioner,
-    SpatialRddExt, Temporal,
+    BspPartitioner, GridPartitioner, IncrementalIndex, JoinConfig, STObject, STPredicate,
+    SpatialPartitioner, SpatialRddExt, Temporal,
 };
 use stark_engine::Context;
 use stark_geo::{Coord, DistanceFn, Envelope, Geometry};
@@ -43,6 +43,74 @@ fn polar_points_strategy(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
         ((-180.0f64..180.0), prop_oneof![85.0f64..90.0, -90.0f64..-85.0]),
         1..max,
     )
+}
+
+/// Where a generated shape sits in the unit square, and two offsets in
+/// `[-1, 1]` that size it.
+type Shape = (f64, f64, f64, f64);
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (0.0f64..1.0, 0.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0)
+}
+
+/// A point (`kind` 0), a three-vertex linestring (1) or a rectangle with
+/// a rectangular hole (2), at times long in x, in frame 0 (planar, within ±50), or in lon/lat
+/// within 1° of the north (1) or south (2) pole, straddling ±180°. A
+/// shape is moved across the antimeridian whole, by its anchor, so it
+/// stays in one piece.
+fn shape(frame: u8, kind: usize, (u, v, du, dv): Shape) -> STObject {
+    // keep every vertex inside the unit square
+    let (u, v) = (0.15 + 0.7 * u, 0.15 + 0.7 * v);
+    let place = |pu: f64, pv: f64| -> String {
+        let (x, y) = match frame {
+            0 => (100.0 * pu - 50.0, 100.0 * pv - 50.0),
+            _ => {
+                let lon = 179.0 + 2.0 * pu - if u >= 0.5 { 360.0 } else { 0.0 };
+                let lat = 89.0 + pv;
+                (lon, if frame == 2 { -lat } else { lat })
+            }
+        };
+        format!("{x} {y}")
+    };
+    let ring = |r: f64| {
+        let (w, h) = (r * (0.02 + 0.6 * du.abs()), r * (0.005 + 0.05 * dv.abs()));
+        let corners = [(-w, -h), (w, -h), (w, h), (-w, h), (-w, -h)];
+        let coords: Vec<String> = corners.iter().map(|(a, b)| place(u + a, v + b)).collect();
+        format!("({})", coords.join(", "))
+    };
+    let wkt = match kind {
+        0 => format!("POINT({})", place(u, v)),
+        1 => format!(
+            "LINESTRING({}, {}, {})",
+            place(u, v),
+            place(u + 0.6 * du, v + 0.02),
+            place(u - 0.05, v + 0.1 * dv)
+        ),
+        _ => format!("POLYGON({}, {})", ring(1.0), ring(0.5)),
+    };
+    STObject::from_wkt(&wkt).unwrap()
+}
+
+/// `got` agrees with the exhaustive `want`: the same distances, and the
+/// same records strictly closer than the k-th distance (records tied at
+/// it may differ).
+fn assert_same_knn(
+    want: &[(f64, (STObject, usize))],
+    got: &[(f64, (STObject, usize))],
+    case: &str,
+) {
+    assert_eq!(got.len(), want.len(), "{case}");
+    for (g, w) in got.iter().zip(want) {
+        assert!((g.0 - w.0).abs() < 1e-9, "{case}: distance {} vs {}", g.0, w.0);
+    }
+    let closer = |r: &[(f64, (STObject, usize))]| {
+        let kth = want.last().map_or(f64::INFINITY, |w| w.0);
+        let mut ids: Vec<usize> =
+            r.iter().filter(|(d, _)| *d < kth).map(|(_, (_, i))| *i).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(closer(got), closer(want), "{case}: records closer than the k-th");
 }
 
 /// The paper's formal definition, transcribed literally.
@@ -160,37 +228,67 @@ proptest! {
         prop_assert_eq!(part.live_index(4).contained_by(&query).count(), baseline);
     }
 
+    /// `SpatialRdd::knn` equals a sorted scan, and every indexed kNN
+    /// path returns what it does, for point, linestring and
+    /// polygon-with-hole foci over mixed data, under all three metrics:
+    /// the live index, an `IncrementalIndex` with removed records (before
+    /// and after `refresh`), and `knn_join` with the focus as its one
+    /// left record.
     #[test]
     fn knn_matches_sorted_scan(
-        pts in points_strategy(150),
+        shapes in proptest::collection::vec(shape_strategy(), 1..200),
+        removed in proptest::collection::vec(0u8..4, 200..201),
+        focus in shape_strategy(),
+        frame in 0u8..3,
         k in 0usize..20,
-        (qx, qy) in ((-60.0f64..60.0), (-60.0f64..60.0)),
+        (parts, dims) in (1usize..4, 1usize..4),
     ) {
+        // few partitions and cells, so trees hold more entries than a
+        // search reads
         let ctx = Context::with_parallelism(3);
-        let data: Vec<(STObject, usize)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (STObject::point(x, y), i))
-            .collect();
-        let rdd = ctx.parallelize(data.clone(), 6).spatial();
-        let q = STObject::point(qx, qy);
+        let data: Vec<(STObject, usize)> =
+            shapes.iter().enumerate().map(|(i, s)| (shape(frame, 2 - i % 3, *s), i)).collect();
+        let rdd = ctx.parallelize(data.clone(), parts).spatial();
+        let live = rdd.live_index(4);
 
-        let got = rdd.knn(&q, k, DistanceFn::Euclidean);
-        let mut expect: Vec<f64> = data
-            .iter()
-            .map(|(o, _)| o.distance(&q, DistanceFn::Euclidean))
-            .collect();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        expect.truncate(k);
-        prop_assert_eq!(got.len(), expect.len());
-        for (g, e) in got.iter().zip(&expect) {
-            prop_assert!((g.0 - e).abs() < 1e-9);
-        }
-        // indexed path agrees too
-        let idx = rdd.live_index(4).knn(&q, k, DistanceFn::Euclidean);
-        prop_assert_eq!(idx.len(), got.len());
-        for (g, e) in idx.iter().zip(&expect) {
-            prop_assert!((g.0 - e).abs() < 1e-9);
+        // half the records go in before a refresh and half after, so the
+        // removals leave tombstones in trees and in the pending slots
+        let mut incremental =
+            IncrementalIndex::new(Arc::new(GridPartitioner::build(dims, &rdd.summarize())), 4);
+        let (first, second) = data.split_at(data.len() / 2);
+        incremental.insert_batch(first.to_vec());
+        incremental.refresh();
+        incremental.insert_batch(second.to_vec());
+        let gone: Vec<(STObject, usize)> =
+            data.iter().filter(|(_, i)| removed[*i] == 0).cloned().collect();
+        prop_assert_eq!(incremental.remove_batch(&gone).removed, gone.len());
+        let survivors: Vec<(STObject, usize)> =
+            data.iter().filter(|(_, i)| removed[*i] != 0).cloned().collect();
+        let survivors = ctx.parallelize(survivors, 4).spatial();
+
+        let metrics = [DistanceFn::Euclidean, DistanceFn::Manhattan, DistanceFn::Haversine];
+        for round in ["with pending slots and tombstones", "after refresh"] {
+            for (kind, name) in ["point", "line", "polygon"].into_iter().enumerate() {
+                let q = shape(frame, kind, focus);
+                let left = ctx.parallelize(vec![(q.clone(), 0usize)], 1).spatial();
+                for dist_fn in metrics {
+                    let case = format!("{name} focus, {dist_fn:?}, k = {k}");
+                    let want = rdd.knn(&q, k, dist_fn);
+                    let mut scan: Vec<f64> =
+                        data.iter().map(|(o, _)| o.distance(&q, dist_fn)).collect();
+                    scan.sort_by(f64::total_cmp);
+                    scan.truncate(k);
+                    prop_assert_eq!(want.iter().map(|w| w.0).collect::<Vec<_>>(), scan);
+                    let got = live.knn(&q, k, dist_fn);
+                    assert_same_knn(&want, &got, &format!("live index, {case}"));
+                    let got = left.knn_join(&rdd, k, dist_fn).collect().remove(0).1;
+                    assert_same_knn(&want, &got, &format!("knn_join, {case}"));
+                    let want = survivors.knn(&q, k, dist_fn);
+                    let got = incremental.knn(&q, k, dist_fn);
+                    assert_same_knn(&want, &got, &format!("incremental, {round}, {case}"));
+                }
+            }
+            incremental.refresh();
         }
     }
 

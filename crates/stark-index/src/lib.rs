@@ -4,7 +4,8 @@
 //! precise) that STARK borrows from JTS (paper §2.2). The tree is bulk
 //! loaded from a partition's content, answers envelope range queries with
 //! *candidates* that the caller refines with the exact predicate, and
-//! supports best-first k-nearest-neighbour search. Trees are `serde`
+//! walks its entries best-first under any envelope lower bound, which
+//! is what an exact k-nearest-neighbour search refines. Trees are `serde`
 //! serialisable, which is what makes STARK's *persistent indexing* mode
 //! possible.
 //!
@@ -24,4 +25,4 @@ pub mod naive;
 pub mod strtree;
 
 pub use naive::NaiveIndex;
-pub use strtree::{Entry, StrTree, DEFAULT_ORDER};
+pub use strtree::{BestFirst, Entry, StrTree, DEFAULT_ORDER};

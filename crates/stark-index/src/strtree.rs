@@ -8,11 +8,15 @@
 //! * envelope range queries ([`StrTree::query`]), returning *candidates*
 //!   whose MBRs intersect the query MBR (callers refine with the exact
 //!   predicate, mirroring STARK's candidate-pruning step);
-//! * k-nearest-neighbour queries ([`StrTree::nearest_k`]) via classic
-//!   best-first branch-and-bound on envelope distances.
+//! * best-first search ([`StrTree::nearest`]): entries in ascending
+//!   order of a caller-supplied lower bound on node and entry envelopes,
+//!   lazily, so a kNN caller reads only as far as its exact refine needs.
+//!   [`StrTree::nearest_k`] is the point-target case of it.
 
 use serde::{Deserialize, Serialize};
 use stark_geo::{Coord, Envelope};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Default node capacity ("order of the tree"); the paper's running
 /// example uses `liveIndex(order = 5)`.
@@ -161,58 +165,28 @@ impl<T> StrTree<T> {
         }
     }
 
-    /// The `k` entries nearest to `target` by envelope distance, ascending.
-    ///
-    /// Envelope distance equals true Euclidean distance for point items;
-    /// for extended geometries it is a lower bound, so callers wanting
-    /// exact geometric kNN should over-fetch and refine.
-    pub fn nearest_k<'a>(&'a self, target: &Coord, k: usize) -> Vec<(f64, &'a Entry<T>)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        enum Item<'a, T> {
-            Node(&'a Node<T>),
-            Entry(&'a Entry<T>),
+    /// Entries in ascending order of `bound`, which is applied to node
+    /// and entry envelopes alike, paired with their bound. `bound` must
+    /// not grow as an envelope shrinks: a node's bound may not exceed
+    /// that of any envelope inside it, as any distance from a fixed
+    /// target to a rectangle satisfies. Lazy: only the nodes needed for
+    /// the entries read so far are opened. Ties come out in the order
+    /// they were reached, so the order depends on the tree and `bound`
+    /// alone.
+    pub fn nearest<B: Fn(&Envelope) -> f64>(&self, bound: B) -> Nearest<'_, T, B> {
+        let mut heap = BestFirst::default();
+        if let Some(root) = &self.root {
+            heap.push(bound(root.bounds()), Step::Node(root));
         }
+        Nearest { bound, heap }
+    }
 
-        let mut result: Vec<(f64, &Entry<T>)> = Vec::with_capacity(k);
-        let Some(root) = &self.root else { return result };
-        if k == 0 {
-            return result;
-        }
-
-        let mut heap: BinaryHeap<(Reverse<OrdF64>, usize)> = BinaryHeap::new();
-        let mut arena: Vec<Item<'a, T>> = Vec::new();
-        arena.push(Item::Node(root));
-        heap.push((Reverse(OrdF64(root.bounds().distance_to_coord(target))), 0));
-
-        while let Some((Reverse(OrdF64(dist)), idx)) = heap.pop() {
-            match arena[idx] {
-                Item::Entry(e) => {
-                    result.push((dist, e));
-                    if result.len() == k {
-                        break;
-                    }
-                }
-                Item::Node(node) => match node {
-                    Node::Leaf { entries, .. } => {
-                        for e in entries {
-                            let d = e.envelope.distance_to_coord(target);
-                            arena.push(Item::Entry(e));
-                            heap.push((Reverse(OrdF64(d)), arena.len() - 1));
-                        }
-                    }
-                    Node::Inner { children, .. } => {
-                        for c in children {
-                            let d = c.bounds().distance_to_coord(target);
-                            arena.push(Item::Node(c));
-                            heap.push((Reverse(OrdF64(d)), arena.len() - 1));
-                        }
-                    }
-                },
-            }
-        }
-        result
+    /// The `k` entries nearest to `target` by envelope distance,
+    /// ascending: [`StrTree::nearest`] with the point-to-rectangle
+    /// distance. That is the exact Euclidean distance for point entries
+    /// and a lower bound for extended ones.
+    pub fn nearest_k(&self, target: &Coord, k: usize) -> Vec<(f64, &Entry<T>)> {
+        self.nearest(|e| e.distance_to_coord(target)).take(k).collect()
     }
 
     /// Iterates over every entry in the tree (arbitrary order).
@@ -312,18 +286,91 @@ fn str_pack<I>(mut items: Vec<I>, order: usize, env_of: impl Fn(&I) -> Envelope)
     groups
 }
 
-/// Total-order wrapper for f64 distances (never NaN in this crate).
-#[derive(PartialEq, PartialOrd)]
-struct OrdF64(f64);
+/// The lazy best-first walk returned by [`StrTree::nearest`].
+pub struct Nearest<'a, T, B> {
+    bound: B,
+    heap: BestFirst<Step<'a, T>>,
+}
 
-impl Eq for OrdF64 {}
+enum Step<'a, T> {
+    Node(&'a Node<T>),
+    Entry(&'a Entry<T>),
+}
 
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other).unwrap_or(std::cmp::Ordering::Equal)
+impl<'a, T, B: Fn(&Envelope) -> f64> Iterator for Nearest<'a, T, B> {
+    type Item = (f64, &'a Entry<T>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            match self.heap.pop()? {
+                (key, Step::Entry(e)) => return Some((key, e)),
+                (_, Step::Node(Node::Leaf { entries, .. })) => {
+                    for e in entries {
+                        self.heap.push((self.bound)(&e.envelope), Step::Entry(e));
+                    }
+                }
+                (_, Step::Node(Node::Inner { children, .. })) => {
+                    for c in children {
+                        self.heap.push((self.bound)(c.bounds()), Step::Node(c));
+                    }
+                }
+            }
+        }
     }
 }
+
+/// A min-queue of items keyed by `f64`. Keys compare by
+/// [`f64::total_cmp`], a total order, so a NaN key has a fixed place
+/// instead of scrambling the heap; equal keys pop in push order.
+pub struct BestFirst<I> {
+    heap: BinaryHeap<Keyed<I>>,
+    pushed: u64,
+}
+
+struct Keyed<I> {
+    key: f64,
+    seq: u64,
+    item: I,
+}
+
+impl<I> BestFirst<I> {
+    pub fn push(&mut self, key: f64, item: I) {
+        self.heap.push(Keyed { key, seq: self.pushed, item });
+        self.pushed += 1;
+    }
+
+    /// The smallest key and its item.
+    pub fn pop(&mut self) -> Option<(f64, I)> {
+        self.heap.pop().map(|k| (k.key, k.item))
+    }
+}
+
+impl<I> Default for BestFirst<I> {
+    fn default() -> Self {
+        BestFirst { heap: BinaryHeap::new(), pushed: 0 }
+    }
+}
+
+impl<I> Ord for Keyed<I> {
+    /// Reversed, so the max-heap pops the smallest `(key, seq)` first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.total_cmp(&self.key).then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl<I> PartialOrd for Keyed<I> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<I> PartialEq for Keyed<I> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<I> Eq for Keyed<I> {}
 
 #[cfg(test)]
 mod tests {
@@ -383,6 +430,27 @@ mod tests {
         assert_eq!(items, vec![10, 11, 9]);
         // distances ascend
         assert!(nn.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn nearest_follows_any_bound_in_total_order() {
+        let mut pts: Vec<(f64, f64)> = (0..40).map(|i| (i as f64, (i % 3) as f64)).collect();
+        pts.push((f64::NAN, 0.0));
+        let t = StrTree::build(4, point_entries(&pts));
+        // the x-gap to the line x = 7, NaN for the NaN entry
+        let gap = |e: &Envelope| {
+            let gap = (e.min_x() - 7.0).max(7.0 - e.max_x());
+            if gap < 0.0 {
+                0.0
+            } else {
+                gap
+            }
+        };
+        let walk: Vec<(f64, usize)> = t.nearest(gap).map(|(b, e)| (b, e.item)).collect();
+        assert_eq!(walk.len(), 41);
+        assert!(walk.windows(2).all(|w| w[0].0.total_cmp(&w[1].0).is_le()), "{walk:?}");
+        assert_eq!(&walk[..1], &[(0.0, 7)]);
+        assert_eq!(walk[40].1, 40, "the NaN bound sorts after every number");
     }
 
     #[test]

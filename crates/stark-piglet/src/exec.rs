@@ -953,6 +953,30 @@ mod tests {
     }
 
     #[test]
+    fn indexed_knn_of_a_polygon_focus_is_exact() {
+        // one partition, one tree: 40 points at (50 … 50.39, 10) and one
+        // at (0, 2), the only one within distance 1 of the polygon
+        let mut ex = executor();
+        let mut rows: Vec<Tuple> = (0..40)
+            .map(|i| {
+                vec![Value::Int(i), Value::Str(format!("POINT({} 10)", 50.0 + i as f64 * 0.01))]
+            })
+            .collect();
+        rows.push(vec![Value::Int(40), Value::Str("POINT(0 2)".into())]);
+        ex.register("ev", vec!["id".into(), "wkt".into()], rows);
+        ex.run_script(
+            "g = FOREACH ev GENERATE id, ST(wkt) AS obj;\np = PARTITION g BY GRID(1) ON obj;\n\
+             i = INDEX p ORDER 16;\n\
+             k = KNN i BY obj QUERY ST('POLYGON((0 0, 100 0, 100 1, 0 1, 0 0))') K 1;",
+        )
+        .unwrap();
+        let rows = ex.collect("k").unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][0], Value::Int(40));
+        assert_eq!(rows[0].last(), Some(&Value::Double(1.0)));
+    }
+
+    #[test]
     fn cluster_statement() {
         let mut ex = executor();
         // two tight groups far apart

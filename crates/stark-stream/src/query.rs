@@ -41,6 +41,10 @@ impl StandingQuery {
         }
     }
 
+    /// The `k` records nearest to `focus` by Euclidean distance, which
+    /// may be any geometry kind. The indexed engine answers it exactly
+    /// through [`IncrementalIndex::knn`], whose search never opens a
+    /// partition farther from `focus` than the k-th distance.
     pub fn knn(name: impl Into<String>, focus: STObject, k: usize) -> Self {
         StandingQuery::Knn { name: name.into(), focus, k, dist_fn: DistanceFn::Euclidean }
     }
@@ -363,6 +367,28 @@ mod tests {
             proptest::prop_assert!(finite.len() >= k.min(pts.len()),
                 "NaN distances displaced finite neighbours: {:?}",
                 a.iter().map(|e| e.0).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn indexed_knn_of_a_polygon_focus_is_exact() {
+        // One grid cell holds all 41 records: 40 at (50 … 50.39, 10) and
+        // one at (0, 2). The polygon is nearest to (0, 2), at distance 1,
+        // though its centroid (50, 0.5) is nearest to the other 40.
+        let one_cell: DataSummary = [(0.0, 0.0), (100.0, 100.0)]
+            .iter()
+            .map(|&(x, y)| (Envelope::from_point(Coord::new(x, y)), Coord::new(x, y)))
+            .collect();
+        let focus = STObject::from_wkt("POLYGON((0 0, 100 0, 100 1, 0 1, 0 0))").unwrap();
+        let mut engine =
+            ContinuousQueryEngine::indexed(Arc::new(GridPartitioner::build(1, &one_cell)), 16)
+                .with_query(StandingQuery::knn("strip", focus, 1));
+        let mut records: Vec<(STObject, u64)> =
+            (0..40).map(|i| (STObject::point(50.0 + i as f64 * 0.01, 10.0), i)).collect();
+        records.push((STObject::point(0.0, 2.0), 40));
+        match engine.on_batch(&records).results.remove(0).output {
+            QueryOutput::Neighbors(n) => assert_eq!((n[0].0, n[0].1 .1), (1.0, 40)),
+            other => panic!("expected neighbours, got {} matches", other.len()),
         }
     }
 
